@@ -20,7 +20,7 @@
 // service estimate warms up, hopeless requests are shed on arrival, which
 // is what keeps the completed-request tail bounded past the knee.
 //
-// `--continuous` switches the engine to the continuous scheduler
+// `--continuous` switches the engine to continuous admission
 // (BatchPolicy::continuous, with the cold-start calibration probe) and pins
 // the sweep against estimate_serving_continuous instead — run both modes to
 // see the fill-window cut at low load and the shared capacity at the knee.
@@ -29,25 +29,23 @@
 // the report is a generated artifact — CI emits and uploads it per commit
 // (`--smoke` shrinks durations for that job); it is not checked in.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <future>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/args.hpp"
+#include "bench/stats.hpp"
 #include "hpcsim/machine.hpp"
 #include "hpcsim/perfmodel.hpp"
 #include "nn/model.hpp"
 #include "runtime/rng.hpp"
-#include "serve/engine.hpp"
+#include "serve/supervisor.hpp"
+#include "serving_fixture.hpp"
 
 namespace {
 
 using namespace candle;
-using Clock = std::chrono::steady_clock;
 
 constexpr double kSloSeconds = 50e-3;  // per-request latency budget
 
@@ -67,43 +65,6 @@ std::vector<float> sample_input(Index numel, std::uint64_t seed) {
   return v;
 }
 
-/// Median wall time of one full-batch infer() measured at deployment
-/// concurrency — `workers` threads running infer simultaneously, exactly as
-/// the engine will.  A single-stream measurement would overstate capacity:
-/// concurrent workers contend for the kernel thread pool, and the per-batch
-/// service time under contention is what the admission controller and the
-/// capacity model actually see.  The serving counterpart of calibrate_host:
-/// measure once, project the sweep.
-double measure_batch_service_s(const Model& m, Index max_batch, int reps,
-                               Index workers) {
-  Tensor batch({max_batch, 1024});
-  Pcg32 rng(7);
-  for (Index i = 0; i < batch.numel(); ++i) {
-    batch[i] = static_cast<float>(rng.normal());
-  }
-  std::vector<std::vector<double>> per_thread(
-      static_cast<std::size_t>(workers));
-  std::vector<std::thread> threads;
-  for (Index w = 0; w < workers; ++w) {
-    threads.emplace_back([&, w] {
-      for (int r = 0; r < reps + 1; ++r) {  // first rep warms pools/arenas
-        const auto t0 = Clock::now();
-        const Tensor y = m.infer(batch);
-        const auto t1 = Clock::now();
-        if (r > 0) {
-          per_thread[static_cast<std::size_t>(w)].push_back(
-              std::chrono::duration<double>(t1 - t0).count());
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  std::vector<double> times;
-  for (const auto& v : per_thread) times.insert(times.end(), v.begin(), v.end());
-  std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
-}
-
 struct SweepRow {
   double frac = 0.0;
   double offered_rps = 0.0;
@@ -117,48 +78,28 @@ struct SweepRow {
   bool bursty = false;
 };
 
-/// Replay one arrival trace open-loop against a fresh engine: submissions
-/// are paced by the trace clock regardless of how the server is doing (the
-/// load does not politely back off when the server saturates).
+/// Replay one arrival trace open-loop against a fresh engine.
 SweepRow replay(const Model& m, const serve::ArrivalTrace& trace,
                 const std::vector<float>& input, Index workers,
                 const serve::BatchPolicy& policy) {
-  serve::EngineOptions opt;
+  serve::SupervisedOptions opt;
   opt.workers = workers;
   opt.batch = policy;
   // Continuous mode prices deadlines from slot availability; seed the EWMA
   // so the very first window already sheds hopeless requests.
   opt.calibration_probe = policy.continuous;
-  serve::Engine engine(m, opt);
-
-  std::vector<std::future<serve::Response>> futures;
-  futures.reserve(trace.at_s.size());
-  const auto start = Clock::now();
-  for (std::size_t i = 0; i < trace.at_s.size(); ++i) {
-    const auto due =
-        start + std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(trace.at_s[i]));
-    // Sleep-based pacing: OS wakeup overshoot (tens of us) turns dense
-    // stretches into small catch-up bursts, which preserves the offered
-    // rate.  Spin-waiting instead would burn a core the calibration did
-    // not account for and depress the measured capacity.
-    if (due > Clock::now()) std::this_thread::sleep_until(due);
-    serve::Request req;
-    req.id = i;
-    req.input = input;
-    req.deadline_s = kSloSeconds;
-    futures.push_back(engine.submit(std::move(req)));
-  }
-  engine.drain();
+  serve::SupervisedEngine engine(m, opt);
+  const std::vector<double> latencies =
+      bench::replay_open_loop(engine, trace, input, kSloSeconds);
   const serve::EngineStats s = engine.stats();
 
   SweepRow row;
   row.offered_rps = trace.offered_rps();
   row.achieved_rps =
       static_cast<double>(s.completed) / trace.duration_s;
-  row.p50_ms = s.latency.quantile(0.50) * 1e3;
-  row.p95_ms = s.latency.quantile(0.95) * 1e3;
-  row.p99_ms = s.latency.quantile(0.99) * 1e3;
+  row.p50_ms = bench::nearest_rank(latencies, 0.50) * 1e3;
+  row.p95_ms = bench::nearest_rank(latencies, 0.95) * 1e3;
+  row.p99_ms = bench::nearest_rank(latencies, 0.99) * 1e3;
   row.shed_fraction = s.submitted > 0
                           ? static_cast<double>(s.shed_total()) /
                                 static_cast<double>(s.submitted)
@@ -180,7 +121,7 @@ int run(double duration_s, const std::vector<double>& fracs,
   const Index workers = 2;
 
   const double service_s =
-      measure_batch_service_s(m, policy.max_batch, 9, workers);
+      bench::measure_batch_service_s(m, policy.max_batch, workers, 9);
   hpcsim::ServingPlan plan;
   plan.workers = workers;
   plan.max_batch = policy.max_batch;

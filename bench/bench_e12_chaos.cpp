@@ -21,16 +21,15 @@
 // report; the report is a generated artifact — CI emits and uploads it per
 // commit (`--smoke` shrinks durations for that job); it is not checked in.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/args.hpp"
+#include "bench/stats.hpp"
 #include "hpcsim/machine.hpp"
 #include "hpcsim/perfmodel.hpp"
 #include "hpcsim/resilience.hpp"
@@ -38,11 +37,11 @@
 #include "runtime/fault.hpp"
 #include "runtime/rng.hpp"
 #include "serve/supervisor.hpp"
+#include "serving_fixture.hpp"
 
 namespace {
 
 using namespace candle;
-using Clock = std::chrono::steady_clock;
 
 constexpr Index kWorkers = 4;
 constexpr Index kMaxBatch = 16;
@@ -66,37 +65,6 @@ std::vector<float> sample_input(std::uint64_t seed) {
   std::vector<float> v(static_cast<std::size_t>(kInputF));
   for (auto& x : v) x = static_cast<float>(rng.normal());
   return v;
-}
-
-/// Median full-batch infer() wall time at deployment concurrency (same
-/// calibrate-then-project idiom as bench_e11).
-double measure_batch_service_s(const Model& m, int reps) {
-  Tensor batch({kMaxBatch, kInputF});
-  Pcg32 rng(7);
-  for (Index i = 0; i < batch.numel(); ++i) {
-    batch[i] = static_cast<float>(rng.normal());
-  }
-  std::vector<std::vector<double>> per_thread(
-      static_cast<std::size_t>(kWorkers));
-  std::vector<std::thread> threads;
-  for (Index w = 0; w < kWorkers; ++w) {
-    threads.emplace_back([&, w] {
-      for (int r = 0; r < reps + 1; ++r) {  // first rep warms pools/arenas
-        const auto t0 = Clock::now();
-        const Tensor y = m.infer(batch);
-        const auto t1 = Clock::now();
-        if (r > 0) {
-          per_thread[static_cast<std::size_t>(w)].push_back(
-              std::chrono::duration<double>(t1 - t0).count());
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  std::vector<double> times;
-  for (const auto& v : per_thread) times.insert(times.end(), v.begin(), v.end());
-  std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
 }
 
 struct ChaosRow {
@@ -126,29 +94,16 @@ ChaosRow replay(const Model& m, const std::vector<float>& input,
 
   const serve::ArrivalTrace trace =
       serve::poisson_trace(offered_rps, duration_s, 4242);
-  std::vector<std::future<serve::Response>> futures;
-  futures.reserve(trace.at_s.size());
-  const auto start = Clock::now();
-  for (std::size_t i = 0; i < trace.at_s.size(); ++i) {
-    const auto due =
-        start + std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(trace.at_s[i]));
-    if (due > Clock::now()) std::this_thread::sleep_until(due);
-    serve::Request req;
-    req.id = i;
-    req.input = input;
-    req.deadline_s = 0.1;  // generous SLO: sheds come from capacity loss
-    futures.push_back(engine.submit(std::move(req)));
-  }
-  engine.drain();
-  for (auto& f : futures) f.get();  // every future must resolve
+  // Generous SLO: sheds come from capacity loss.
+  const std::vector<double> latencies =
+      bench::replay_open_loop(engine, trace, input, 0.1);
 
   ChaosRow row;
   row.stats = engine.stats();
   row.goodput_rps = static_cast<double>(row.stats.completed) / duration_s;
-  row.p50_ms = row.stats.latency.quantile(0.50) * 1e3;
-  row.p99_ms = row.stats.latency.quantile(0.99) * 1e3;
-  row.p999_ms = row.stats.latency.quantile(0.999) * 1e3;
+  row.p50_ms = bench::nearest_rank(latencies, 0.50) * 1e3;
+  row.p99_ms = bench::nearest_rank(latencies, 0.99) * 1e3;
+  row.p999_ms = bench::nearest_rank(latencies, 0.999) * 1e3;
   row.shed_fraction =
       row.stats.submitted > 0
           ? static_cast<double>(row.stats.shed_total() + row.stats.failed) /
@@ -174,7 +129,8 @@ int run(double duration_s, const std::string& json_path) {
   const Model m = serving_model(17);
   const std::vector<float> input = sample_input(3);
 
-  const double service_s = measure_batch_service_s(m, 15);
+  const double service_s =
+      bench::measure_batch_service_s(m, kMaxBatch, kWorkers, 15);
   const double healthy_capacity_rps =
       static_cast<double>(kWorkers) * static_cast<double>(kMaxBatch) /
       service_s;

@@ -13,7 +13,7 @@
 #include "nn/model.hpp"
 #include "nn/trainer.hpp"
 #include "runtime/rng.hpp"
-#include "serve/engine.hpp"
+#include "serve/supervisor.hpp"
 
 using namespace candle;
 
@@ -35,12 +35,13 @@ Dataset blobs(Index n, Index features, std::uint64_t seed) {
 void report(const char* label, const serve::EngineStats& s) {
   std::printf("%s\n", label);
   std::printf("  submitted %llu | completed %llu | shed %llu "
-              "(queue %llu, deadline %llu, shutdown %llu)\n",
+              "(queue %llu, deadline %llu, brownout %llu, shutdown %llu)\n",
               static_cast<unsigned long long>(s.submitted),
               static_cast<unsigned long long>(s.completed),
               static_cast<unsigned long long>(s.shed_total()),
               static_cast<unsigned long long>(s.shed_queue_full),
               static_cast<unsigned long long>(s.shed_deadline),
+              static_cast<unsigned long long>(s.shed_brownout),
               static_cast<unsigned long long>(s.shed_shutdown));
   std::printf("  latency p50 %.2f ms | p95 %.2f ms | p99 %.2f ms | "
               "mean batch %.1f rows\n",
@@ -69,12 +70,12 @@ int main() {
 
   // Stand the trained model up: 2 workers pull coalesced batches and run
   // the const inference path against the single shared copy of the weights.
-  serve::EngineOptions eopt;
+  serve::SupervisedOptions eopt;
   eopt.workers = 2;
   eopt.batch.max_batch = 16;
   eopt.batch.max_wait_s = 1e-3;
   eopt.batch.queue_capacity = 64;
-  serve::Engine engine(model, eopt);
+  serve::SupervisedEngine engine(model, eopt);
 
   // Steady phase: a seeded Poisson arrival trace replayed open-loop at a
   // rate the two workers absorb comfortably; every request carries a 20 ms
@@ -115,9 +116,10 @@ int main() {
                                static_cast<double>(served)
                          : 0.0);
 
-  // Flood phase: 10000 back-to-back submissions.  The bounded queue sheds
-  // the excess on arrival — clients get an immediate rejection they can
-  // retry elsewhere, and the latency of what IS served stays bounded.
+  // Flood phase: 10000 back-to-back submissions.  The bounded queue (and,
+  // once the watchdog sees the shed rate, brownout) sheds the excess on
+  // arrival — clients get an immediate rejection they can retry elsewhere,
+  // and the latency of what IS served stays bounded.
   const serve::EngineStats before = engine.stats();
   std::vector<std::future<serve::Response>> flood;
   flood.reserve(10000);
@@ -141,6 +143,6 @@ int main() {
   engine.drain();
   const serve::EngineStats s = engine.stats();
   std::printf("after drain: every request accounted for exactly once: %s\n",
-              s.submitted == s.completed + s.shed_total() ? "yes" : "NO");
+              s.accounting_gap() == 0 ? "yes" : "NO");
   return 0;
 }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "runtime/error.hpp"
+
 namespace candle::bench {
 
 RepeatStats summarize(const std::vector<double>& values) {
@@ -21,6 +23,16 @@ RepeatStats summarize(const std::vector<double>& values) {
   }
   if (s.mean != 0.0) s.rel_spread = (s.max - s.min) / std::abs(s.mean);
   return s;
+}
+
+double nearest_rank(std::vector<double> samples, double q) {
+  CANDLE_CHECK(q >= 0.0 && q <= 1.0, "quantile must be in [0, 1]");
+  if (samples.empty()) return 0.0;
+  std::sort(samples.begin(), samples.end());
+  const std::size_t n = samples.size();
+  const auto rank = std::clamp<std::size_t>(
+      static_cast<std::size_t>(std::ceil(q * static_cast<double>(n))), 1, n);
+  return samples[rank - 1];
 }
 
 }  // namespace candle::bench

@@ -23,4 +23,8 @@ struct RepeatStats {
 /// Summarize one metric's seeded repeats.  Empty input yields a zero struct.
 RepeatStats summarize(const std::vector<double>& values);
 
+/// Quantile q in [0, 1] of raw samples by nearest rank: the
+/// max(1, ceil(q * n))-th smallest sample (0 when there are none).
+double nearest_rank(std::vector<double> samples, double q);
+
 }  // namespace candle::bench

@@ -426,7 +426,7 @@ ContinuousServingEstimate estimate_serving_continuous(
   // --- slot occupancy: the scheduler admits whatever is queued into free
   // slots at every iteration, so mean occupancy tracks utilization (rho of
   // the capacity slots busy) — never below the one row being served, never
-  // above the slot matrix.
+  // above max_batch.
   const double rho = std::min(1.0, e.utilization);
   e.mean_batch_rows = std::clamp(rho * b, 1.0, b);
   e.iteration_s = e.mean_batch_rows * e.row_service_s;

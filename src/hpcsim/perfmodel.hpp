@@ -213,8 +213,8 @@ ParallelPlan best_hybrid_plan(const NodeSpec& node, const Fabric& fabric,
 // ---- inference serving ------------------------------------------------------
 
 /// Deployment description for the serving estimator — mirrors
-/// serve::EngineOptions + serve::BatchPolicy so a modeled configuration maps
-/// one-to-one onto a runnable engine.
+/// serve::SupervisedOptions + serve::BatchPolicy so a modeled configuration
+/// maps one-to-one onto a runnable engine.
 struct ServingPlan {
   Index workers = 2;
   Index max_batch = 32;
@@ -251,8 +251,8 @@ ServingEstimate estimate_serving(const NodeSpec& node,
                                  const ServingPlan& plan, double offered_rps);
 
 /// Modeled behaviour of a *continuous-batching* deployment
-/// (serve::BatchPolicy::continuous: per-iteration row admit/evict into a
-/// fixed slot matrix) at one offered load.  Capacity is identical to the
+/// (serve::BatchPolicy::continuous: an idle worker takes whatever is
+/// queued, up to max_batch rows, with no fill window) at one offered load.  Capacity is identical to the
 /// coalescing estimator — continuous batching changes *when* rows join a
 /// batch, not how fast a full batch computes — but the latency structure
 /// differs: there is no fill-wait term at all (batch_timeout_s never enters

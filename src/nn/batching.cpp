@@ -50,76 +50,4 @@ const Tensor& BatchAssembler::batch_from(const Tensor& x, Index lo, Index hi) {
   return batch_;
 }
 
-RowSlotAssembler::RowSlotAssembler(Shape sample_shape, Index capacity)
-    : sample_shape_(std::move(sample_shape)),
-      capacity_(capacity),
-      sample_numel_(shape_numel(sample_shape_)),
-      slots_(batched_shape(sample_shape_, capacity)),
-      batch_(batched_shape(sample_shape_, capacity)),
-      occupied_(static_cast<std::size_t>(capacity), 0) {
-  CANDLE_CHECK(capacity_ >= 1, "RowSlotAssembler needs at least one slot");
-  CANDLE_CHECK(sample_numel_ >= 1, "RowSlotAssembler sample shape is empty");
-  gathered_.reserve(static_cast<std::size_t>(capacity_));
-}
-
-bool RowSlotAssembler::slot_occupied(Index slot) const {
-  CANDLE_CHECK(slot >= 0 && slot < capacity_, "slot id out of range");
-  return occupied_[static_cast<std::size_t>(slot)] != 0;
-}
-
-Index RowSlotAssembler::admit(std::span<const float> sample) {
-  CANDLE_CHECK(occupied_count_ < capacity_, "RowSlotAssembler is full");
-  CANDLE_CHECK(static_cast<Index>(sample.size()) == sample_numel_,
-               "sample size does not match the assembler's sample shape");
-  while (occupied_[static_cast<std::size_t>(lowest_free_)] != 0) {
-    ++lowest_free_;
-  }
-  const Index slot = lowest_free_;
-  occupied_[static_cast<std::size_t>(slot)] = 1;
-  ++occupied_count_;
-  ++lowest_free_;
-  std::copy(sample.begin(), sample.end(),
-            slots_.data() + slot * sample_numel_);
-  return slot;
-}
-
-void RowSlotAssembler::evict(Index slot) {
-  CANDLE_CHECK(slot_occupied(slot), "evicting an empty slot");
-  occupied_[static_cast<std::size_t>(slot)] = 0;
-  --occupied_count_;
-  lowest_free_ = std::min(lowest_free_, slot);
-}
-
-const Tensor& RowSlotAssembler::gather() {
-  CANDLE_CHECK(occupied_count_ >= 1, "gather() with no occupied slots");
-  gathered_.clear();
-  for (Index s = 0; s < capacity_ &&
-                    static_cast<Index>(gathered_.size()) < occupied_count_;
-       ++s) {
-    if (occupied_[static_cast<std::size_t>(s)] != 0) gathered_.push_back(s);
-  }
-  return gather({gathered_.data(), gathered_.size()});
-}
-
-const Tensor& RowSlotAssembler::gather(std::span<const Index> slots) {
-  CANDLE_CHECK(!slots.empty(), "gather() of an empty slot subset");
-  const Index rows = static_cast<Index>(slots.size());
-  CANDLE_CHECK(rows <= capacity_, "gather subset larger than capacity");
-  batch_.resize_dim0(rows);
-  for (Index i = 0; i < rows; ++i) {
-    const Index s = slots[static_cast<std::size_t>(i)];
-    CANDLE_CHECK(slot_occupied(s), "gathering an empty slot");
-    std::copy(slots_.data() + s * sample_numel_,
-              slots_.data() + (s + 1) * sample_numel_,
-              batch_.data() + i * sample_numel_);
-  }
-  // Re-record which slots back the gathered rows (gather() pre-fills the
-  // same vector it then passes here; copying via the span keeps both entry
-  // points consistent without aliasing trouble).
-  if (gathered_.data() != slots.data()) {
-    gathered_.assign(slots.begin(), slots.end());
-  }
-  return batch_;
-}
-
 }  // namespace candle

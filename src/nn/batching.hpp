@@ -1,20 +1,19 @@
 // Reusable batch-tensor assembly for the inference paths.
 //
-// Model::predict and the serving-side dynamic batcher (src/serve/batcher)
+// Model::predict and the serving engine's workers (src/serve/supervisor)
 // both need the same operation — copy a set of per-sample rows into one
 // contiguous (rows, sample...) tensor — and both need it allocation-free at
 // steady state: predict slices a dataset into fixed-size batches with one
-// ragged tail, and the batcher coalesces whatever requests are queued when
-// the batch window closes.  BatchAssembler owns a single buffer sized for
-// the largest batch and cycles full and tail batches through it via
-// Tensor::resize_dim0, so after the first batch no heap allocation happens
-// on the assembly path.  Routing both callers through this one helper is
-// also what makes the dynamic batcher's coalesced batches bit-identical to
-// serial predict slices.
+// ragged tail, and an engine worker assembles whatever rows it acquired
+// this iteration (and, after a NaN-poisoned infer, just the poisoned rows).
+// BatchAssembler owns a single buffer sized for the largest batch and
+// cycles full and short batches through it via Tensor::resize_dim0, so
+// after the first batch no heap allocation happens on the assembly path.
+// Routing both callers through this one helper is also what makes the
+// engine's batches bit-identical to serial predict slices.
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "core/tensor.hpp"
 
@@ -31,7 +30,7 @@ class BatchAssembler {
 
   /// Start a batch of `rows` rows (1 <= rows <= max_rows()) and return the
   /// buffer shaped (rows, sample...).  Row contents are stale until written
-  /// through set_row() or gather().
+  /// through set_row() or batch_from().
   Tensor& begin(Index rows);
 
   /// Copy one flattened sample into row `row` of the current batch.
@@ -48,74 +47,6 @@ class BatchAssembler {
   Index max_rows_;
   Index sample_numel_;
   Tensor batch_;
-};
-
-/// Fixed-capacity slot matrix for continuous batching (DESIGN.md
-/// "Continuous batching"): rows are *admitted* into the lowest free slot
-/// and *evicted* individually, instead of closing whole batches.  The
-/// serving engine's continuous scheduler admits queued requests into free
-/// slots at every iteration and evicts finished rows without stopping the
-/// batch — which is what keeps workers running near-full batches at high
-/// load and single-row batches with no fill-wait at low load.
-///
-/// Storage is slot-stable: a row's bytes live at slot * sample_numel of the
-/// slot matrix from admit to evict, untouched by other slots' churn.
-/// Compute kernels want contiguous batches, so gather() compacts the
-/// occupied slots (ascending slot order) into a second preallocated buffer
-/// cycled via Tensor::resize_dim0; gather(subset) compacts an arbitrary
-/// slot subset (the row-scope NaN-recompute path).  Both tensors are
-/// allocated once in the constructor, so the steady-state
-/// admit/gather/evict cycle performs no heap allocation — the continuous
-/// analogue of BatchAssembler's buffer reuse.  Row independence of the
-/// forward GEMMs (each output row is a dot-product family over its own
-/// input row) is what makes any gather order bit-identical to serial
-/// predict.
-///
-/// Not thread-safe: one assembler per engine worker, like BatchAssembler.
-class RowSlotAssembler {
- public:
-  /// `sample_shape` is the per-sample shape (no batch dimension); both the
-  /// slot matrix (capacity rows) and the gather buffer are allocated here.
-  RowSlotAssembler(Shape sample_shape, Index capacity);
-
-  Index capacity() const { return capacity_; }
-  Index occupied() const { return occupied_count_; }
-  Index free_slots() const { return capacity_ - occupied_count_; }
-  Index sample_numel() const { return sample_numel_; }
-  bool slot_occupied(Index slot) const;
-
-  /// Copy one flattened sample into the lowest free slot and return its
-  /// slot id.  Lowest-free placement is deterministic, which keeps chaos
-  /// replays and bit-identity checks reproducible.  Throws when full.
-  Index admit(std::span<const float> sample);
-
-  /// Free one occupied slot (its bytes stay until overwritten by a later
-  /// admit; the slot id is immediately reusable).
-  void evict(Index slot);
-
-  /// Compact every occupied slot (ascending slot order) into the gather
-  /// buffer, shaped (occupied, sample...).  At least one slot must be
-  /// occupied.  gathered_slots()[i] is the slot backing gathered row i.
-  const Tensor& gather();
-
-  /// Compact an explicit subset of occupied slots, in the order given.
-  const Tensor& gather(std::span<const Index> slots);
-
-  /// Slot ids backing the rows of the most recent gather, in row order.
-  std::span<const Index> gathered_slots() const {
-    return {gathered_.data(), gathered_.size()};
-  }
-
- private:
-  Shape sample_shape_;
-  Index capacity_;
-  Index sample_numel_;
-  Index occupied_count_ = 0;
-  Index lowest_free_ = 0;  // search hint: no free slot below this index
-  Tensor slots_;           // (capacity, sample...), slot-stable storage
-  Tensor batch_;           // (occupied, sample...), cycled via resize_dim0
-  std::vector<char> occupied_;
-  std::vector<Index> gathered_;
 };
 
 }  // namespace candle

@@ -12,14 +12,14 @@ namespace {
 thread_local bool tls_inside_parallel_region = false;
 }  // namespace
 
+unsigned ThreadPool::hardware_workers() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? hw - 1 : 0;  // caller thread is the extra lane
+}
+
 ThreadPool::ThreadPool(unsigned threads) {
-  unsigned n = threads;
-  if (n == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    n = hw > 0 ? hw - 1 : 0;  // caller thread is the extra lane
-  }
-  workers_.reserve(n);
-  for (unsigned i = 0; i < n; ++i) {
+  workers_.reserve(threads);
+  for (unsigned i = 0; i < threads; ++i) {
     workers_.emplace_back([this, i] { worker_main(i + 1); });
   }
 }
@@ -112,7 +112,7 @@ void ThreadPool::run_locked(const std::function<void(unsigned)>& body) {
 }
 
 ThreadPool& global_pool() {
-  static ThreadPool pool;
+  static ThreadPool pool(ThreadPool::hardware_workers());
   return pool;
 }
 

@@ -28,12 +28,17 @@ namespace candle {
 /// Fixed-size pool of worker threads executing fork/join style jobs.
 class ThreadPool {
  public:
-  /// Create a pool with `threads` workers (0 = hardware concurrency).
-  explicit ThreadPool(unsigned threads = 0);
+  /// Create a pool with exactly `threads` workers.  With 0 workers every
+  /// job runs on the calling thread alone.
+  explicit ThreadPool(unsigned threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
+
+  /// The hardware default: one worker per hardware thread beyond the
+  /// caller's, so workers plus caller fill the machine (0 when unknown).
+  static unsigned hardware_workers();
 
   /// Number of worker threads (not counting the caller, which participates).
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }

@@ -35,11 +35,11 @@ Response DynamicBatcher::shed_response(const Request& req, Outcome outcome) {
 double DynamicBatcher::predicted_wait_locked(Index depth) const {
   if (counters_.ewma_row_service_s <= 0.0) return 0.0;  // not yet calibrated
   if (policy_.continuous) {
-    // Slot-availability pricing: rows drain individually, so the sojourn is
-    // every row ahead of this one (in flight on worker slots + queued) plus
-    // itself, at the EWMA per-row rate over the live pool.  No whole-batch
-    // quantization: admitting row max_batch+1 costs one row more, not one
-    // batch more.
+    // Slot-availability pricing: no row is held back to fill a batch, so
+    // the sojourn is every row ahead of this one (in flight on workers +
+    // queued) plus itself, at the EWMA per-row rate over the live pool.  No
+    // whole-batch quantization: admitting row max_batch+1 costs one row
+    // more, not one batch more.
     const double rows_ahead =
         static_cast<double>(inflight_rows_ + depth + 1);
     return rows_ahead * counters_.ewma_row_service_s /
@@ -117,78 +117,48 @@ std::future<Response> DynamicBatcher::submit(Request req) {
   return future;
 }
 
-std::vector<DynamicBatcher::PendingPtr> DynamicBatcher::next_batch() {
+void DynamicBatcher::acquire_rows(std::vector<PendingPtr>& out) {
+  out.clear();
   std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
     // Entries resolved elsewhere (a hedge or crash duplicate whose twin
     // already won) are dead weight: drop them before they shape the
-    // coalescing decision.  They were accounted when resolved.
+    // admission decision.  They were accounted when resolved.
     while (!queue_.empty() &&
            queue_.front()->resolved.load(std::memory_order_acquire)) {
       queue_.pop_front();
     }
     if (queue_.empty()) {
-      if (draining_) return {};
+      if (draining_) return;
       cv_consumer_.wait(lk, [&] { return !queue_.empty() || draining_; });
       continue;
     }
-    const auto close_at =
-        queue_.front()->enqueued +
-        std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double>(policy_.max_wait_s));
-    if (static_cast<Index>(queue_.size()) >= policy_.max_batch ||
-        Clock::now() >= close_at || draining_) {
-      std::vector<PendingPtr> batch;
-      batch.reserve(static_cast<std::size_t>(policy_.max_batch));
-      while (!queue_.empty() &&
-             static_cast<Index>(batch.size()) < policy_.max_batch) {
-        PendingPtr p = std::move(queue_.front());
-        queue_.pop_front();
-        if (p->resolved.load(std::memory_order_acquire)) continue;
-        batch.push_back(std::move(p));
+    // Coalescing holds a short batch until it fills or its oldest row has
+    // waited out the window.
+    if (!policy_.continuous && !draining_ &&
+        static_cast<Index>(queue_.size()) < policy_.max_batch) {
+      const auto close_at =
+          queue_.front()->enqueued +
+          std::chrono::duration_cast<Clock::duration>(
+              std::chrono::duration<double>(policy_.max_wait_s));
+      if (Clock::now() < close_at) {
+        cv_consumer_.wait_until(lk, close_at);
+        continue;
       }
-      if (batch.empty()) continue;  // everything popped was already resolved
-      // More rows may remain (burst beyond max_batch): hand them to a
-      // sibling worker instead of letting them wait out a fresh window.
-      if (!queue_.empty()) cv_consumer_.notify_one();
-      return batch;
     }
-    cv_consumer_.wait_until(lk, close_at);
-  }
-}
-
-bool DynamicBatcher::acquire_rows(Index want, std::vector<PendingPtr>& out,
-                                  bool block) {
-  CANDLE_CHECK(policy_.continuous,
-               "acquire_rows is the continuous-mode consumer");
-  CANDLE_CHECK(want >= 0, "negative row request");
-  std::unique_lock<std::mutex> lk(mu_);
-  for (;;) {
-    // Entries resolved elsewhere (hedge twin already won) are dead weight;
-    // drop them before they count against `want`.
     while (!queue_.empty() &&
-           queue_.front()->resolved.load(std::memory_order_acquire)) {
-      queue_.pop_front();
-    }
-    if (queue_.empty()) {
-      if (draining_) return false;
-      if (!block || want == 0) return true;
-      cv_consumer_.wait(lk, [&] { return !queue_.empty() || draining_; });
-      continue;
-    }
-    Index taken = 0;
-    while (!queue_.empty() && taken < want) {
+           static_cast<Index>(out.size()) < policy_.max_batch) {
       PendingPtr p = std::move(queue_.front());
       queue_.pop_front();
       if (p->resolved.load(std::memory_order_acquire)) continue;
       out.push_back(std::move(p));
-      ++taken;
     }
-    inflight_rows_ += taken;
-    // Rows beyond this worker's free slots stay queued: wake a sibling so
-    // they don't wait for this worker's next iteration.
+    if (out.empty()) continue;  // everything popped was already resolved
+    inflight_rows_ += static_cast<Index>(out.size());
+    // More rows may remain (burst beyond max_batch): hand them to a sibling
+    // worker instead of letting them wait for this worker's next iteration.
     if (!queue_.empty()) cv_consumer_.notify_one();
-    return true;
+    return;
   }
 }
 
@@ -197,11 +167,6 @@ void DynamicBatcher::release_rows(Index n) {
   std::lock_guard<std::mutex> lk(mu_);
   CANDLE_CHECK(inflight_rows_ >= n, "releasing more rows than in flight");
   inflight_rows_ -= n;
-}
-
-Index DynamicBatcher::inflight_rows() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return inflight_rows_;
 }
 
 void DynamicBatcher::requeue(std::vector<PendingPtr> batch) {

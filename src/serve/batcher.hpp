@@ -2,10 +2,13 @@
 // serving engine.
 //
 // Policy (DESIGN.md "Serving"):
-//  * Coalescing — a batch closes when `max_batch` requests are queued or
-//    the oldest queued request has waited `max_wait_s`, whichever comes
-//    first.  Low load pays at most the wait window; high load fills whole
-//    batches and the window never expires.
+//  * Admission rule — a worker takes up to `max_batch` queued rows per
+//    iteration.  Coalescing (the default) holds a short batch until
+//    `max_batch` rows are queued or the oldest queued row has waited
+//    `max_wait_s`, whichever comes first: low load pays at most the wait
+//    window, high load fills whole batches and the window never expires.
+//    Continuous (BatchPolicy::continuous) hands out whatever is queued the
+//    moment a worker is free — no fill window.
 //  * Bounded queue — at most `queue_capacity` requests wait.  Arrivals
 //    beyond that are shed immediately (ShedQueueFull): overload degrades to
 //    explicit rejections, never to unbounded latency.
@@ -17,10 +20,10 @@
 //    the *live* worker pool.  If that already exceeds the request's
 //    deadline the request is shed on arrival (ShedDeadline) — serving it
 //    would waste a batch slot on an answer the client has given up on.
-//    Under continuous batching (BatchPolicy::continuous) the sojourn is
-//    priced from slot availability instead — every in-flight and queued row
-//    ahead of this one at the per-row service rate over the live pool —
-//    because rows drain one at a time, not in whole-batch quanta.
+//    Under continuous batching the sojourn is priced from slot availability
+//    instead — every in-flight and queued row ahead of this one at the
+//    per-row service rate over the live pool — because rows are not held
+//    back to fill whole-batch quanta.
 //  * Brownout (DESIGN.md "Serving failure model") — when the supervisor
 //    detects sustained overload or a shrunken pool it flips brownout mode:
 //    the effective queue shrinks to `brownout_queue_frac * queue_capacity`
@@ -51,20 +54,18 @@
 namespace candle::serve {
 
 struct BatchPolicy {
-  Index max_batch = 32;          ///< batch closes at this many rows
-  double max_wait_s = 2e-3;      ///< ... or when the oldest row waited this
+  Index max_batch = 32;          ///< rows per worker iteration, at most
+  double max_wait_s = 2e-3;      ///< coalescing fill window (oldest row)
   Index queue_capacity = 1024;   ///< bounded queue; beyond = ShedQueueFull
   bool deadline_admission = true;  ///< enable predicted-wait shedding
   double service_ewma_alpha = 0.2;  ///< smoothing of the service estimate
 
-  /// Continuous batching (DESIGN.md "Continuous batching"): workers admit
-  /// queued rows into free batch slots at every engine iteration via
-  /// acquire_rows() and evict finished rows individually, instead of
-  /// coalescing whole batches through next_batch().  max_wait_s is ignored
-  /// (there is no fill window to wait out) and the predicted sojourn is
-  /// priced from slot availability — (inflight + depth + 1) rows ahead at
-  /// the EWMA per-row service rate over the live pool — rather than the
-  /// whole-batch ceil((depth + 1) / max_batch) quantization.
+  /// Continuous batching (DESIGN.md "Continuous batching"): acquire_rows()
+  /// hands a free worker whatever is queued at once instead of holding a
+  /// short batch for the fill window.  max_wait_s is ignored, and the
+  /// predicted sojourn is priced from slot availability — (inflight + depth
+  /// + 1) rows ahead at the EWMA per-row service rate over the live pool —
+  /// rather than the whole-batch ceil((depth + 1) / max_batch) quantization.
   bool continuous = false;
 
   /// Brownout tightening: effective queue capacity becomes
@@ -115,35 +116,24 @@ class DynamicBatcher {
   /// outcome.  Thread-safe.
   std::future<Response> submit(Request req);
 
-  /// Consumer side: block until a batch is ready per the coalescing policy
-  /// (or until drain).  Returns the coalesced requests in arrival order,
-  /// skipping entries already resolved elsewhere (won hedges); empty means
-  /// the batcher is drained and shut down.  Thread-safe — multiple engine
-  /// workers pull concurrently.
-  std::vector<PendingPtr> next_batch();
-
-  /// Continuous-mode consumer: move up to `want` queued rows into `out`
-  /// (appended in arrival order), skipping entries already resolved
-  /// elsewhere.  When `block` is set and the queue is empty the call waits
-  /// for work (or drain); otherwise it returns immediately, possibly
-  /// appending nothing — a worker holding live slots polls, an idle worker
-  /// blocks.  Returns false when the batcher is draining and the queue is
-  /// empty — no new admissions will ever arrive, and a worker with no
-  /// occupied slots should exit (requeues can still refill the queue during
-  /// drain; the watchdog's replacement workers serve those).
+  /// Consumer side: block until rows are ready under the admission rule
+  /// (see BatchPolicy), then replace `out` with up to max_batch of them in
+  /// arrival order, skipping entries already resolved elsewhere (won
+  /// hedges).  Draining releases a short batch at once.  `out` comes back
+  /// empty only when the batcher is draining and the queue is empty — no
+  /// new admissions will ever arrive, so the worker should exit (requeues
+  /// can still refill the queue during drain; the watchdog's replacement
+  /// workers serve those).  Thread-safe — multiple engine workers pull
+  /// concurrently.
   ///
   /// Every row handed out here is counted in-flight until the consumer
   /// returns it through exactly one release_rows() unit — when the row is
-  /// resolved and evicted, lost a resolve race, or was dissolved from a
-  /// dead worker's flight by the watchdog.
-  bool acquire_rows(Index want, std::vector<PendingPtr>& out, bool block);
+  /// resolved or lost a resolve race, or by the watchdog's sweep of a dead
+  /// worker.
+  void acquire_rows(std::vector<PendingPtr>& out);
 
   /// Return `n` in-flight rows (see acquire_rows).  Thread-safe.
   void release_rows(Index n);
-
-  /// Rows acquired and not yet released — the slot-availability half of the
-  /// continuous-mode predicted wait.
-  Index inflight_rows() const;
 
   /// Put already-admitted requests back at the *front* of the queue (crash
   /// recovery and hedged duplicates re-dispatch ahead of new arrivals —
@@ -171,8 +161,8 @@ class DynamicBatcher {
   bool brownout() const;
 
   /// Stop admitting (subsequent submits shed with ShedShutdown) and wake
-  /// consumers so queued work finishes; next_batch returns empty once the
-  /// queue is empty.  Idempotent.
+  /// consumers so queued work finishes; acquire_rows comes back empty once
+  /// the queue is empty.  Idempotent.
   void start_drain();
 
   /// Predicted sojourn (seconds) a request admitted right now would see.
@@ -189,7 +179,7 @@ class DynamicBatcher {
     std::uint64_t shed_brownout = 0;
     std::uint64_t requeued = 0;  ///< re-dispatches (crash recovery + hedges)
     std::int64_t peak_queue_depth = 0;
-    Index inflight_rows = 0;  ///< acquired, not yet released (continuous)
+    Index inflight_rows = 0;  ///< acquired, not yet released
     double ewma_row_service_s = 0.0;
     Index live_workers = 0;
     bool brownout = false;

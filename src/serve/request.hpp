@@ -51,10 +51,10 @@ struct Response {
   std::uint64_t id = 0;
   Outcome outcome = Outcome::ShedShutdown;
   std::vector<float> output;
-  double queue_wait_s = 0.0;  ///< submit -> batch close / slot admit
+  double queue_wait_s = 0.0;  ///< submit -> a worker acquires it
   double latency_s = 0.0;     ///< submit -> response ready (admitted only)
-  double service_s = 0.0;     ///< batch close / slot admit -> response ready
-  Index batch_rows = 0;       ///< rows in the batch/iteration it rode in
+  double service_s = 0.0;     ///< a worker acquires it -> response ready
+  Index batch_rows = 0;       ///< rows in the batch it rode in
 };
 
 // ---- open-loop arrival traces -----------------------------------------------

@@ -86,14 +86,13 @@ class LatencyHistogram {
 };
 
 /// Aggregate engine counters + latency distribution, as returned by
-/// serve::Engine::stats() and serve::SupervisedEngine::stats().  Invariant
-/// (checked by tests) once the engine has drained:
+/// serve::SupervisedEngine::stats().  Invariant (checked by tests) once the
+/// engine has drained:
 ///   submitted == completed + shed_total() + failed
 /// — every request is accounted for exactly once, including requests that
 /// were re-dispatched after a worker crash or raced by a hedged duplicate.
-/// The base Engine never fails requests and runs no supervisor, so its
-/// resilience counters are identically zero and the invariant reduces to
-/// the original submitted == completed + shed_total().
+/// Without faults nothing fails, and the invariant reduces to
+/// submitted == completed + shed_total().
 struct EngineStats {
   std::uint64_t submitted = 0;
   std::uint64_t admitted = 0;
@@ -103,15 +102,15 @@ struct EngineStats {
   std::uint64_t shed_deadline = 0;
   std::uint64_t shed_shutdown = 0;
   std::uint64_t shed_brownout = 0;
-  std::uint64_t batches = 0;      ///< coalesced batches / iterations executed
+  std::uint64_t batches = 0;      ///< worker iterations (one infer each)
   std::int64_t peak_queue_depth = 0;
-  /// Continuous mode: rows acquired by workers and not yet released back.
-  /// Exactly zero after drain() — every acquired row is returned by its
-  /// worker's evict, a lost resolve race, or the watchdog's crash sweep.
+  /// Rows acquired by workers and not yet released back.  Exactly zero
+  /// after drain() — every acquired row is returned by its worker once
+  /// resolved (or lost to a twin), or by the watchdog's crash sweep.
   Index inflight_rows = 0;
   double ewma_row_service_s = 0.0;  ///< admission controller's estimate
 
-  // ---- supervision / resilience (SupervisedEngine only) ---------------------
+  // ---- supervision / resilience --------------------------------------------
   std::uint64_t requeued = 0;          ///< rows re-enqueued after crashes
   std::uint64_t worker_crashes = 0;    ///< workers that died mid-batch
   std::uint64_t worker_hangs = 0;      ///< workers the watchdog declared hung
@@ -132,8 +131,8 @@ struct EngineStats {
   // queue_wait (no max_wait_s window to sit out) while service stays the
   // per-iteration compute time.
   LatencyHistogram::Snapshot latency;      ///< submit -> response
-  LatencyHistogram::Snapshot queue_wait;   ///< submit -> batch close / admit
-  LatencyHistogram::Snapshot service;      ///< batch close / admit -> response
+  LatencyHistogram::Snapshot queue_wait;   ///< submit -> worker acquires it
+  LatencyHistogram::Snapshot service;      ///< worker acquires it -> response
 
   std::uint64_t shed_total() const {
     return shed_queue_full + shed_deadline + shed_shutdown + shed_brownout;

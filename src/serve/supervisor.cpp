@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "nn/batching.hpp"
-#include "serve/engine.hpp"
 
 namespace candle::serve {
 
@@ -16,6 +15,22 @@ namespace {
 double seconds_between(SupervisedEngine::Clock::time_point a,
                        SupervisedEngine::Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
+}
+
+/// One-shot cold-start calibration: time a full-max_batch infer() on a
+/// zeros batch and seed `batcher`'s per-row service EWMA with it, so
+/// deadline admission prices the very first window instead of admitting
+/// everything at a zero estimate.
+void run_calibration_probe(const Model& model, DynamicBatcher& batcher) {
+  const Index rows = batcher.policy().max_batch;
+  Shape shape = model.input_shape();
+  shape.insert(shape.begin(), rows);
+  const Tensor probe(std::move(shape));
+  const auto t0 = SupervisedEngine::Clock::now();
+  const Tensor y = model.infer(probe);
+  const auto t1 = SupervisedEngine::Clock::now();
+  (void)y;
+  batcher.record_service(rows, seconds_between(t0, t1));
 }
 
 }  // namespace
@@ -49,6 +64,8 @@ SupervisedEngine::SupervisedEngine(const Model& model,
   CANDLE_CHECK(p.brownout_shed_ewma_alpha > 0.0 &&
                    p.brownout_shed_ewma_alpha <= 1.0,
                "brownout_shed_ewma_alpha must be in (0, 1]");
+  // The probe runs before any worker exists, so the first submitted request
+  // is already priced against a calibrated EWMA.
   if (options_.calibration_probe) run_calibration_probe(model_, batcher_);
   slots_.reserve(static_cast<std::size_t>(options_.workers));
   for (Index w = 0; w < options_.workers; ++w) spawn_worker();
@@ -75,33 +92,31 @@ std::future<Response> SupervisedEngine::submit(Request req) {
 }
 
 void SupervisedEngine::worker_main(WorkerSlot* slot) {
-  if (options_.batch.continuous) {
-    worker_continuous(slot);
-  } else {
-    worker_coalescing(slot);
-  }
-}
-
-void SupervisedEngine::worker_coalescing(WorkerSlot* slot) {
   using runtime::FaultKind;
-  BatchAssembler assembler(model_.input_shape(), options_.batch.max_batch);
+  // One assembly buffer per worker, sized once for the largest batch; with
+  // the worker's thread-local workspace arena warm, the steady-state
+  // iteration allocates nothing beyond the flight and response payloads.
+  const Index capacity = options_.batch.max_batch;
+  BatchAssembler assembler(model_.input_shape(), capacity);
+  std::vector<DynamicBatcher::PendingPtr> batch;
+  batch.reserve(static_cast<std::size_t>(capacity));
+  std::vector<Index> poisoned;  // batch rows to recompute
+  poisoned.reserve(static_cast<std::size_t>(capacity));
   std::vector<float> out;
-  Index ordinal = 0;  // this worker's own batch counter; fault-schedule key
+  Index ordinal = 0;  // this worker's iteration counter; fault-schedule key
   while (!slot->superseded.load(std::memory_order_acquire)) {
-    std::vector<DynamicBatcher::PendingPtr> batch = batcher_.next_batch();
+    batcher_.acquire_rows(batch);
     if (batch.empty()) break;  // drained
-    const auto closed_at = Clock::now();
+    const Index rows = static_cast<Index>(batch.size());
+    // Mirrored on the slot so the watchdog can return a dead worker's
+    // acquired rows exactly (see WorkerSlot::inflight).
+    slot->inflight.fetch_add(rows, std::memory_order_acq_rel);
+    const auto admitted_at = Clock::now();
     // Register the flight before any fault can fire: whatever kills this
     // worker from here on, the watchdog sees exactly which rows it held.
-    // Coalescing mode: every row shares the batch close as its admit time.
     {
-      Flight flight;
-      flight.rows.reserve(batch.size());
-      for (const auto& p : batch) {
-        flight.rows.push_back(FlightRow{p, closed_at, false});
-      }
       std::lock_guard<std::mutex> lk(flights_mu_);
-      flights_[slot->id] = std::move(flight);
+      flights_[slot->id] = Flight{batch, admitted_at, false};
     }
     if (injector_) {
       if (injector_->poll(FaultKind::WorkerCrash, ordinal, slot->id)) {
@@ -122,7 +137,6 @@ void SupervisedEngine::worker_coalescing(WorkerSlot* slot) {
     // EWMA must track *normal* service so hedge/hang thresholds derived
     // from it keep flagging stalls instead of absorbing them.
     const auto exec_start = Clock::now();
-    const Index rows = static_cast<Index>(batch.size());
     assembler.begin(rows);
     for (Index i = 0; i < rows; ++i) {
       assembler.set_row(i, batch[static_cast<std::size_t>(i)]->request.input);
@@ -143,27 +157,43 @@ void SupervisedEngine::worker_coalescing(WorkerSlot* slot) {
       }
     }
     // Silent-corruption gate: no non-finite value leaves the engine.  One
-    // recompute clears a transient (injected faults are one-shot, matching
-    // a bit flip in flight, not a broken model).
-    bool poisoned = false;
-    for (float v : out) {
-      if (!std::isfinite(v)) {
-        poisoned = true;
-        break;
+    // recompute of only the poisoned rows clears a transient (injected
+    // faults are one-shot, matching a bit flip in flight, not a broken
+    // model); clean rows' outputs are already final, bit-identical by row
+    // independence of the forward GEMMs.
+    poisoned.clear();
+    for (Index i = 0; i < rows; ++i) {
+      if (!std::all_of(out.begin() + i * output_numel_,
+                       out.begin() + (i + 1) * output_numel_,
+                       [](float v) { return std::isfinite(v); })) {
+        poisoned.push_back(i);
       }
     }
-    if (poisoned) {
+    if (!poisoned.empty()) {
       corruption_retries_.fetch_add(1, std::memory_order_relaxed);
+      const Index redo = static_cast<Index>(poisoned.size());
+      assembler.begin(redo);
+      for (Index j = 0; j < redo; ++j) {
+        const Index i = poisoned[static_cast<std::size_t>(j)];
+        assembler.set_row(j,
+                          batch[static_cast<std::size_t>(i)]->request.input);
+      }
       const Tensor y2 = model_.infer(assembler.batch());
-      out.assign(y2.data(), y2.data() + rows * output_numel_);
+      for (Index j = 0; j < redo; ++j) {
+        std::copy(y2.data() + j * output_numel_,
+                  y2.data() + (j + 1) * output_numel_,
+                  out.begin() + poisoned[static_cast<std::size_t>(j)] *
+                                    output_numel_);
+      }
       if (injector_) {
         injector_->record(ordinal, slot->id, FaultKind::BatchCorruption,
-                          "recovered", "poisoned batch recomputed");
+                          "recovered", "poisoned rows recomputed");
       }
     }
     const auto finished_at = Clock::now();
     batcher_.record_service(rows, seconds_between(exec_start, finished_at));
     batches_.fetch_add(1, std::memory_order_relaxed);
+    const double service_s = seconds_between(admitted_at, finished_at);
     for (Index i = 0; i < rows; ++i) {
       DynamicBatcher::Pending& p = *batch[static_cast<std::size_t>(i)];
       Response r;
@@ -171,8 +201,7 @@ void SupervisedEngine::worker_coalescing(WorkerSlot* slot) {
       r.outcome = Outcome::Completed;
       r.output.assign(out.begin() + i * output_numel_,
                       out.begin() + (i + 1) * output_numel_);
-      const double queue_wait_s = seconds_between(p.enqueued, closed_at);
-      const double service_s = seconds_between(closed_at, finished_at);
+      const double queue_wait_s = seconds_between(p.enqueued, admitted_at);
       const double latency_s = seconds_between(p.enqueued, finished_at);
       r.queue_wait_s = queue_wait_s;
       r.service_s = service_s;
@@ -192,192 +221,8 @@ void SupervisedEngine::worker_coalescing(WorkerSlot* slot) {
         hedge_losses_.fetch_add(1, std::memory_order_relaxed);
       }
     }
-    {
-      std::lock_guard<std::mutex> lk(flights_mu_);
-      flights_.erase(slot->id);  // no-op if the watchdog stole it (hang)
-    }
-    ++ordinal;
-  }
-  slot->state.store(kExited, std::memory_order_release);
-}
-
-void SupervisedEngine::worker_continuous(WorkerSlot* slot) {
-  using runtime::FaultKind;
-  // Continuous scheduler under supervision: the same per-iteration slot
-  // admit/evict loop as Engine::worker_continuous, with the flight registry
-  // tracking exactly the rows this worker's slots hold so crash recovery,
-  // hedging, and NaN recompute act at row scope.  All buffers are sized
-  // once; the steady-state iteration allocates nothing beyond the response
-  // payloads.
-  const Index capacity = options_.batch.max_batch;
-  RowSlotAssembler slots(model_.input_shape(), capacity);
-  std::vector<DynamicBatcher::PendingPtr> holders(
-      static_cast<std::size_t>(capacity));
-  std::vector<Clock::time_point> admitted(static_cast<std::size_t>(capacity));
-  std::vector<DynamicBatcher::PendingPtr> incoming;
-  incoming.reserve(static_cast<std::size_t>(capacity));
-  std::vector<Index> order;  // slot backing each gathered row
-  order.reserve(static_cast<std::size_t>(capacity));
-  std::vector<Index> poisoned_rows;   // gathered row indices to recompute
-  std::vector<Index> poisoned_slots;  // their backing slots
-  poisoned_rows.reserve(static_cast<std::size_t>(capacity));
-  poisoned_slots.reserve(static_cast<std::size_t>(capacity));
-  std::vector<float> out;
-  Index ordinal = 0;  // this worker's iteration counter; fault-schedule key
-  // Rows this worker acquired and has not yet released are mirrored on the
-  // slot so the watchdog can return a dead worker's residue exactly (see
-  // WorkerSlot::inflight).
-  const auto release = [&](Index n) {
-    if (n == 0) return;
-    batcher_.release_rows(n);
-    slot->inflight.fetch_sub(n, std::memory_order_acq_rel);
-  };
-  while (!slot->superseded.load(std::memory_order_acquire)) {
-    incoming.clear();
-    const bool block = slots.occupied() == 0;
-    const bool open =
-        batcher_.acquire_rows(slots.free_slots(), incoming, block);
-    if (!open && incoming.empty() && slots.occupied() == 0) break;  // drained
-    if (!incoming.empty()) {
-      slot->inflight.fetch_add(static_cast<Index>(incoming.size()),
-                               std::memory_order_acq_rel);
-    }
-    const auto admitted_at = Clock::now();
-    for (auto& p : incoming) {
-      const Index s = slots.admit(p->request.input);
-      admitted[static_cast<std::size_t>(s)] = admitted_at;
-      holders[static_cast<std::size_t>(s)] = std::move(p);
-    }
-    // Rows resolved elsewhere since acquisition (a hedge twin or crash
-    // re-dispatch won the race before we computed) leave their slots before
-    // the gather — the row-scope evict that keeps slots free for new work.
-    Index evicted = 0;
-    for (Index s = 0; s < capacity; ++s) {
-      auto& h = holders[static_cast<std::size_t>(s)];
-      if (h && h->resolved.load(std::memory_order_acquire)) {
-        h.reset();
-        slots.evict(s);
-        ++evicted;
-      }
-    }
-    release(evicted);
-    if (slots.occupied() == 0) continue;
-    // Register the flight before any fault can fire: whatever kills this
-    // worker from here on, the watchdog sees exactly which rows it held.
-    {
-      Flight flight;
-      flight.rows.reserve(static_cast<std::size_t>(slots.occupied()));
-      for (Index s = 0; s < capacity; ++s) {
-        const auto& h = holders[static_cast<std::size_t>(s)];
-        if (h) {
-          flight.rows.push_back(
-              FlightRow{h, admitted[static_cast<std::size_t>(s)], false});
-        }
-      }
-      std::lock_guard<std::mutex> lk(flights_mu_);
-      flights_[slot->id] = std::move(flight);
-    }
-    if (injector_) {
-      if (injector_->poll(FaultKind::WorkerCrash, ordinal, slot->id)) {
-        injector_->record(ordinal, slot->id, FaultKind::WorkerCrash,
-                          "injected", "worker died mid-iteration");
-        slot->state.store(kCrashed, std::memory_order_release);
-        return;  // flight left registered; the watchdog recovers it
-      }
-      if (auto ev =
-              injector_->poll(FaultKind::WorkerHang, ordinal, slot->id)) {
-        injector_->record(ordinal, slot->id, FaultKind::WorkerHang, "injected",
-                          "worker stalled mid-iteration");
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(ev->delay_s));
-      }
-    }
-    // EWMA from here, after any injected stall (see worker_coalescing).
-    const auto exec_start = Clock::now();
-    const Index rows = slots.occupied();
-    const Tensor& y = model_.infer(slots.gather());
-    out.assign(y.data(), y.data() + rows * output_numel_);
-    order.assign(slots.gathered_slots().begin(), slots.gathered_slots().end());
-    if (injector_) {
-      if (auto ev = injector_->poll(FaultKind::BatchCorruption, ordinal,
-                                    slot->id)) {
-        const Index n = std::min<Index>(ev->corrupt_count,
-                                        static_cast<Index>(out.size()));
-        for (Index k = 0; k < n; ++k) {
-          out[static_cast<std::size_t>(k)] =
-              std::numeric_limits<float>::quiet_NaN();
-        }
-        injector_->record(ordinal, slot->id, FaultKind::BatchCorruption,
-                          "injected", "inference output NaN-poisoned");
-      }
-    }
-    // Row-scope silent-corruption gate: recompute only the poisoned rows
-    // (clean rows' outputs are already final — bit-identical by row
-    // independence of the forward GEMMs), instead of redoing the batch.
-    poisoned_rows.clear();
-    poisoned_slots.clear();
-    for (Index i = 0; i < rows; ++i) {
-      bool bad = false;
-      for (Index k = i * output_numel_; k < (i + 1) * output_numel_; ++k) {
-        if (!std::isfinite(out[static_cast<std::size_t>(k)])) {
-          bad = true;
-          break;
-        }
-      }
-      if (bad) {
-        poisoned_rows.push_back(i);
-        poisoned_slots.push_back(order[static_cast<std::size_t>(i)]);
-      }
-    }
-    if (!poisoned_rows.empty()) {
-      corruption_retries_.fetch_add(1, std::memory_order_relaxed);
-      const Tensor& y2 = model_.infer(slots.gather(poisoned_slots));
-      for (std::size_t j = 0; j < poisoned_rows.size(); ++j) {
-        const Index i = poisoned_rows[j];
-        std::copy(y2.data() + static_cast<Index>(j) * output_numel_,
-                  y2.data() + static_cast<Index>(j + 1) * output_numel_,
-                  out.begin() + i * output_numel_);
-      }
-      if (injector_) {
-        injector_->record(ordinal, slot->id, FaultKind::BatchCorruption,
-                          "recovered", "poisoned rows recomputed");
-      }
-    }
-    const auto finished_at = Clock::now();
-    batcher_.record_service(rows, seconds_between(exec_start, finished_at));
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    for (Index i = 0; i < rows; ++i) {
-      const Index s = order[static_cast<std::size_t>(i)];
-      DynamicBatcher::PendingPtr& p = holders[static_cast<std::size_t>(s)];
-      Response r;
-      r.id = p->request.id;
-      r.outcome = Outcome::Completed;
-      r.output.assign(out.begin() + i * output_numel_,
-                      out.begin() + (i + 1) * output_numel_);
-      const double queue_wait_s =
-          seconds_between(p->enqueued, admitted[static_cast<std::size_t>(s)]);
-      const double service_s = seconds_between(
-          admitted[static_cast<std::size_t>(s)], finished_at);
-      const double latency_s = seconds_between(p->enqueued, finished_at);
-      r.queue_wait_s = queue_wait_s;
-      r.service_s = service_s;
-      r.latency_s = latency_s;
-      r.batch_rows = rows;
-      if (p->try_resolve(std::move(r))) {
-        queue_wait_.record(queue_wait_s);
-        service_.record(service_s);
-        latency_.record(latency_s);
-        completed_.fetch_add(1, std::memory_order_relaxed);
-        if (p->hedged.load(std::memory_order_acquire)) {
-          hedge_wins_.fetch_add(1, std::memory_order_relaxed);
-        }
-      } else {
-        hedge_losses_.fetch_add(1, std::memory_order_relaxed);
-      }
-      p.reset();
-      slots.evict(s);
-    }
-    release(rows);
+    batcher_.release_rows(rows);
+    slot->inflight.fetch_sub(rows, std::memory_order_acq_rel);
     {
       std::lock_guard<std::mutex> lk(flights_mu_);
       flights_.erase(slot->id);  // no-op if the watchdog stole it (hang)
@@ -423,41 +268,34 @@ void SupervisedEngine::handle_crash(WorkerSlot& slot) {
     slot.thread.join();
     slot.joined = true;
   }
-  Flight flight;
-  bool had_flight = false;
+  Flight flight;  // stays empty if the hang path consumed it first
   {
     std::lock_guard<std::mutex> lk(flights_mu_);
     auto it = flights_.find(slot.id);
     if (it != flights_.end()) {
       flight = std::move(it->second);
       flights_.erase(it);
-      had_flight = true;
     }
   }
-  // Return whatever the dead worker still held acquired: a continuous
-  // worker releases rows as it evicts them, and a crashed one never got
-  // there.  The count lives on the slot (not the flight) so the release
-  // stays exact even if the hang path consumed the flight first.
-  if (options_.batch.continuous) {
-    batcher_.release_rows(slot.inflight.exchange(0, std::memory_order_acq_rel));
-  }
-  if (had_flight) {
-    std::vector<DynamicBatcher::PendingPtr> survivors;
-    std::vector<DynamicBatcher::PendingPtr> casualties;
-    for (auto& fr : flight.rows) {
-      auto& p = fr.row;
-      if (!p || p->resolved.load(std::memory_order_acquire)) continue;
-      const Index crashes =
-          p->crashes.fetch_add(1, std::memory_order_acq_rel) + 1;
-      if (crashes > options_.supervise.max_request_crashes) {
-        casualties.push_back(std::move(p));
-      } else {
-        survivors.push_back(std::move(p));
-      }
+  // Return whatever the dead worker still held acquired: a worker releases
+  // its rows once it has resolved them, and a crashed one never got there.
+  // The count lives on the slot (not the flight) so the release stays exact
+  // even if the hang path consumed the flight first.
+  batcher_.release_rows(slot.inflight.exchange(0, std::memory_order_acq_rel));
+  std::vector<DynamicBatcher::PendingPtr> survivors;
+  std::vector<DynamicBatcher::PendingPtr> casualties;
+  for (auto& p : flight.rows) {
+    if (p->resolved.load(std::memory_order_acquire)) continue;
+    const Index crashes =
+        p->crashes.fetch_add(1, std::memory_order_acq_rel) + 1;
+    if (crashes > options_.supervise.max_request_crashes) {
+      casualties.push_back(std::move(p));
+    } else {
+      survivors.push_back(std::move(p));
     }
-    resolve_failed(casualties);
-    batcher_.requeue(std::move(survivors));
   }
+  resolve_failed(casualties);
+  batcher_.requeue(std::move(survivors));
   if (injector_) {
     injector_->record(-1, slot.id, runtime::FaultKind::WorkerCrash,
                       "detected", "watchdog recovered abandoned batch");
@@ -551,37 +389,23 @@ void SupervisedEngine::tick() {
   {
     std::lock_guard<std::mutex> lk(flights_mu_);
     for (auto& [id, flight] : flights_) {
-      // Row-scope straggler detection: ages are per row (one shared admit
-      // time in coalescing mode, per-iteration admits in continuous mode).
-      // The *oldest row* declares the hang — resolved or not: a hedge twin
+      // The flight's age declares the hang — resolved or not: a hedge twin
       // resolving the rows does not unstick the worker, which still
       // occupies a pool slot and must be retired.  Hedging below does skip
       // resolved rows (duplicating a finished row is pure waste).
-      bool hung = false;
-      for (const auto& fr : flight.rows) {
-        if (!fr.row) continue;
-        if (seconds_between(fr.admitted, now) >= hang_after) {
-          hung = true;
-          break;
-        }
-      }
-      if (hung) {
+      const double age = seconds_between(flight.admitted, now);
+      if (age >= hang_after) {
         hung_ids.push_back(id);
         continue;
       }
-      if (!p.hedging) continue;
+      if (!p.hedging || flight.hedged || age < hedge_after) continue;
+      flight.hedged = true;
       bool launched = false;
-      for (auto& fr : flight.rows) {
-        if (fr.hedged || !fr.row ||
-            fr.row->resolved.load(std::memory_order_acquire)) {
-          continue;
-        }
-        if (seconds_between(fr.admitted, now) >= hedge_after) {
-          fr.hedged = true;
-          fr.row->hedged.store(true, std::memory_order_release);
-          duplicates.push_back(fr.row);
-          launched = true;
-        }
+      for (auto& row : flight.rows) {
+        if (row->resolved.load(std::memory_order_acquire)) continue;
+        row->hedged.store(true, std::memory_order_release);
+        duplicates.push_back(row);
+        launched = true;
       }
       if (launched) {
         hedges_launched_.fetch_add(1, std::memory_order_relaxed);
@@ -590,9 +414,8 @@ void SupervisedEngine::tick() {
     for (Index id : hung_ids) {
       auto it = flights_.find(id);
       if (it == flights_.end()) continue;
-      for (auto& fr : it->second.rows) {
-        auto& row = fr.row;
-        if (!row || row->resolved.load(std::memory_order_acquire)) continue;
+      for (auto& row : it->second.rows) {
+        if (row->resolved.load(std::memory_order_acquire)) continue;
         // The retired straggler may still finish its batch; its result
         // races the re-dispatch through the exactly-once guard, so mark
         // the row hedged for loser accounting.
@@ -681,9 +504,9 @@ void SupervisedEngine::drain() {
     if (batcher_.depth() == 0 && flights_empty) break;
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
-  // Queue empty + drain flag -> every worker's next next_batch() returns
-  // empty and the thread exits; superseded stragglers finish their last
-  // batch first.  Join them all.
+  // Queue empty + drain flag -> every worker's next acquire_rows() comes
+  // back empty and the thread exits; superseded stragglers finish their
+  // last batch first.  Join them all.
   for (auto& s : slots_) {
     if (s->thread.joinable()) {
       s->thread.join();
@@ -697,19 +520,17 @@ void SupervisedEngine::drain() {
   {
     std::lock_guard<std::mutex> flk(flights_mu_);
     for (auto& [id, flight] : flights_) {
-      for (auto& fr : flight.rows) leftovers.push_back(std::move(fr.row));
+      for (auto& row : flight.rows) leftovers.push_back(std::move(row));
     }
     flights_.clear();
   }
   resolve_failed(leftovers);
   resolve_failed(batcher_.take_all());
-  // Continuous mode: workers that died after the final tick never released
-  // their acquired rows; with every thread joined, sweep the residue so the
-  // batcher's in-flight count drains to exactly zero.
-  if (options_.batch.continuous) {
-    for (auto& s : slots_) {
-      batcher_.release_rows(s->inflight.exchange(0, std::memory_order_acq_rel));
-    }
+  // Workers that died after the final tick never released their acquired
+  // rows; with every thread joined, sweep the residue so the batcher's
+  // in-flight count drains to exactly zero.
+  for (auto& s : slots_) {
+    batcher_.release_rows(s->inflight.exchange(0, std::memory_order_acq_rel));
   }
   drained_ = true;
 }

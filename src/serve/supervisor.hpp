@@ -1,20 +1,29 @@
-// Supervised serving: the resilience layer over the inference engine.
+// The serving engine: a shared-weight worker pool behind one dynamic
+// batcher, run under a heartbeat watchdog (DESIGN.md "Serving" and
+// "Serving failure model").
 //
-// The base serve::Engine assumes its workers are immortal.  This module
-// drops that assumption (DESIGN.md "Serving failure model"): a
-// SupervisedEngine runs the same shared-weight worker pool under a
-// heartbeat watchdog that
+// N worker threads share ONE const Model (infer() touches no layer state,
+// so the weights stay resident once, not once per worker).  Each worker
+// runs one loop: acquire up to max_batch rows from the batcher (coalescing
+// or continuous admission, see BatchPolicy), register them as its flight,
+// assemble them through its own BatchAssembler, infer, and resolve every
+// row.  Assembly and GEMM scratch reuse per-worker buffers, so neither
+// allocates at steady state.
+// The caller owns the Model and must keep it alive and *unmodified* while
+// the engine runs.
+//
+// The watchdog does not assume workers are immortal.  It
 //
 //  * detects crashed workers (thread died mid-batch, real or injected via
-//    runtime::FaultInjector), re-enqueues the batch they abandoned at the
+//    runtime::FaultInjector), re-enqueues the rows they abandoned at the
 //    front of the queue, and replaces them from the shared const model —
 //    replacement is cheap because workers own no weights, only a scratch
 //    assembler.  Restarts draw on a bounded budget with exponential
 //    backoff; a pool that burns the whole budget collapses explicitly
 //    (queued work resolves Outcome::Failed) instead of hanging clients.
-//  * detects hung/straggling workers: a batch in flight past a
-//    multiple of the EWMA batch service time is first *hedged* (a
-//    duplicate dispatch races the straggler, first result wins through the
+//  * detects hung/straggling workers: a flight older than a multiple of
+//    the EWMA batch service time is first *hedged* (its unresolved rows are
+//    re-dispatched to race the straggler, first result wins through the
 //    batcher's exactly-once promise guard, the loser is discarded and
 //    accounted), and past a larger multiple the worker is *superseded* —
 //    its rows re-dispatched, a replacement spawned, and the sleeper left
@@ -22,9 +31,9 @@
 //    retired": replacements get fresh worker ids, so one-shot fault
 //    schedules never re-fire (same contract as training-side crashes).
 //  * detects NaN-poisoned inference outputs (silent corruption in flight)
-//    by a finiteness scan and recomputes the batch once before letting
-//    results out — the serving analogue of the training-side gradient
-//    corruption retry.
+//    by a finiteness scan and recomputes only the poisoned rows before
+//    letting results out — the serving analogue of the training-side
+//    gradient corruption retry.
 //  * degrades gracefully under overload or a shrunken pool via *brownout*:
 //    when the non-brownout shed fraction's EWMA crosses a threshold or
 //    workers are down, admission tightens (smaller effective queue,
@@ -32,16 +41,8 @@
 //    explicit ShedBrownout rejections at reduced capacity instead of a
 //    collapsing tail.
 //
-// All of it acts at *row* granularity: flights track per-row admit times
-// and hedge flags, so under the continuous scheduler
-// (BatchPolicy::continuous — per-iteration slot admit/evict, see DESIGN.md
-// "Continuous batching") crash re-enqueue, hedging, and NaN recompute
-// target exactly the rows affected rather than a whole coalesced batch.
-// In coalescing mode every row of a flight shares one admit time and the
-// behavior reduces to the original whole-batch semantics.
-//
 // Accounting stays exact through all of it: after drain(),
-//   submitted == completed + shed_total() + failed
+//   submitted == completed + shed_total() + failed  and  inflight_rows == 0
 // with hedged duplicates and crash re-dispatches resolving each request
 // exactly once.  The chaos suites (tests/test_serve_resilience.cpp,
 // tests/test_serve_continuous.cpp) pin this under seeded fault schedules
@@ -105,12 +106,14 @@ struct SupervisorPolicy {
 };
 
 struct SupervisedOptions {
-  Index workers = 2;
+  Index workers = 2;  ///< serving threads (each a shared-weight replica)
   BatchPolicy batch;
   SupervisorPolicy supervise;
-  /// Seed the service EWMA with a one-shot full-batch probe before serving
-  /// (see EngineOptions::calibration_probe): cold-start deadline admission
-  /// prices the first window instead of admitting everything at zero.
+  /// Seed the admission controller's service-time EWMA from a one-shot
+  /// full-batch inference probe run in the constructor, before any request
+  /// is admitted.  Without it the first window is priced at zero (EWMA
+  /// uncalibrated), so deadline admission cannot shed hopeless requests
+  /// until the first batch completes — the cold-start mispricing window.
   bool calibration_probe = false;
 };
 
@@ -118,11 +121,11 @@ class SupervisedEngine {
  public:
   using Clock = DynamicBatcher::Clock;
 
-  /// The model is borrowed (shared const weights, like serve::Engine).  The
-  /// injector is optional and borrowed; it must outlive the engine.  Worker
-  /// w polls serving fault kinds at (its own batch ordinal, its stable
-  /// worker id w); replacements take ids N, N+1, ... so scheduled faults
-  /// for a dead worker never re-fire.
+  /// The model must be built; it is borrowed (shared const weights), not
+  /// copied.  The injector is optional and borrowed; it must outlive the
+  /// engine.  Worker w polls serving fault kinds at (its own iteration
+  /// count, its stable worker id w); replacements take ids N, N+1, ... so
+  /// scheduled faults for a dead worker never re-fire.
   explicit SupervisedEngine(const Model& model, SupervisedOptions options = {},
                             runtime::FaultInjector* injector = nullptr);
   ~SupervisedEngine();
@@ -130,9 +133,10 @@ class SupervisedEngine {
   SupervisedEngine(const SupervisedEngine&) = delete;
   SupervisedEngine& operator=(const SupervisedEngine&) = delete;
 
-  /// Submit one request (thread-safe).  Resolves with the prediction, a
-  /// shed outcome, or Outcome::Failed if its batch was crash-abandoned past
-  /// the retry budget.
+  /// Submit one request (thread-safe).  The input must hold exactly one
+  /// flattened sample.  Resolves with the prediction, a shed outcome (queue
+  /// full / deadline hopeless / brownout / draining), or Outcome::Failed if
+  /// its batch was crash-abandoned past the retry budget.
   std::future<Response> submit(Request req);
 
   /// Stop admitting, recover/serve everything already admitted (the
@@ -160,37 +164,26 @@ class SupervisedEngine {
     std::thread thread;
     std::atomic<int> state{kRunning};
     std::atomic<bool> superseded{false};  // watchdog retired this worker
-    /// Continuous mode: rows acquired from the batcher and not yet released
-    /// by this worker.  The watchdog releases the residue when the worker
-    /// crashes (exchange(0)), so the batcher's in-flight count stays exact
-    /// whatever interleaving of crash detection and hang retirement wins.
+    /// Rows acquired from the batcher and not yet released by this worker.
+    /// The watchdog releases the residue when the worker crashes
+    /// (exchange(0)), so the batcher's in-flight count stays exact whatever
+    /// interleaving of crash detection and hang retirement wins.
     std::atomic<Index> inflight{0};
     bool crash_handled = false;           // watchdog-side bookkeeping
     bool joined = false;
   };
 
-  /// One row of a flight: the request, when it was admitted onto a worker
-  /// slot (batch close time in coalescing mode), and whether the watchdog
-  /// has already launched a duplicate for it.  Row-level granularity is
-  /// what lets hedging, hang re-dispatch, and crash recovery act on
-  /// individual rows under the continuous scheduler; in coalescing mode
-  /// every row of a flight shares one admit time and the behavior reduces
-  /// to the original whole-batch semantics.
-  struct FlightRow {
-    DynamicBatcher::PendingPtr row;
+  /// The rows in flight on one worker, registered before any fault can
+  /// fire so the watchdog always sees what a dying worker held.  A worker
+  /// acquires all of them in one iteration, so they share one admit time,
+  /// and the watchdog hedges them together (at most once).
+  struct Flight {
+    std::vector<DynamicBatcher::PendingPtr> rows;
     Clock::time_point admitted{};
     bool hedged = false;
   };
 
-  /// The rows in flight on one worker, registered before any fault can
-  /// fire so the watchdog always sees what a dying worker held.
-  struct Flight {
-    std::vector<FlightRow> rows;
-  };
-
   void worker_main(WorkerSlot* slot);
-  void worker_coalescing(WorkerSlot* slot);
-  void worker_continuous(WorkerSlot* slot);
   void supervisor_main();
 
   /// One watchdog pass: join/recover crashed workers, hedge and retire

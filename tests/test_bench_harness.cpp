@@ -131,6 +131,19 @@ TEST(BenchStats, ZeroVarianceAndEmpty) {
   EXPECT_DOUBLE_EQ(e.mean, 0.0);
 }
 
+TEST(BenchStats, NearestRankIsTheCeilRankSample) {
+  const std::vector<double> v{5.0, 1.0, 4.0, 2.0, 3.0};
+  EXPECT_EQ(nearest_rank(v, 0.0), 1.0);  // rank clamps up to 1
+  EXPECT_EQ(nearest_rank(v, 0.5), 3.0);  // ceil(2.5) = 3rd smallest
+  EXPECT_EQ(nearest_rank(v, 0.8), 4.0);  // ceil(4.0) = 4th, no interpolation
+  EXPECT_EQ(nearest_rank(v, 1.0), 5.0);
+  std::vector<double> hundred;
+  for (int i = 1; i <= 100; ++i) hundred.push_back(i);
+  EXPECT_EQ(nearest_rank(hundred, 0.99), 99.0);  // p99 is a sample, not max
+  EXPECT_EQ(nearest_rank({}, 0.99), 0.0);
+  EXPECT_THROW(nearest_rank(v, 1.5), Error);
+}
+
 // ---- Registry ---------------------------------------------------------------
 
 std::unique_ptr<Benchmark> toy(const std::string& name, Direction dir,

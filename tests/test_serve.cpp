@@ -1,12 +1,13 @@
 // Serving subsystem tests: arrival-trace determinism, the latency
 // histogram, dynamic batching + admission control, the multi-worker engine
 // (bit-identity with serial predict, exact shed accounting, drain), and the
-// hpcsim serving estimator.  The Engine cases double as the TSan targets
+// hpcsim serving estimator.  The engine cases double as the TSan targets
 // wired into CI: many producer threads against many worker threads over one
 // shared const Model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <future>
 #include <thread>
@@ -16,7 +17,7 @@
 #include "hpcsim/perfmodel.hpp"
 #include "nn/model.hpp"
 #include "runtime/rng.hpp"
-#include "serve/engine.hpp"
+#include "serve/supervisor.hpp"
 
 namespace candle {
 namespace {
@@ -24,13 +25,13 @@ namespace {
 using serve::ArrivalTrace;
 using serve::BatchPolicy;
 using serve::DynamicBatcher;
-using serve::Engine;
-using serve::EngineOptions;
 using serve::EngineStats;
 using serve::LatencyHistogram;
 using serve::Outcome;
 using serve::Request;
 using serve::Response;
+using serve::SupervisedEngine;
+using serve::SupervisedOptions;
 
 Model mlp(Index in, Index hidden, Index out, std::uint64_t seed) {
   Model m;
@@ -181,7 +182,8 @@ TEST(DynamicBatcherTest, ClosesOnCountWithoutWaiting) {
   for (int i = 0; i < 4; ++i) {
     futures.push_back(b.submit(req_with_id(static_cast<std::uint64_t>(i))));
   }
-  const auto batch = b.next_batch();
+  std::vector<DynamicBatcher::PendingPtr> batch;
+  b.acquire_rows(batch);
   ASSERT_EQ(batch.size(), 4u);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(batch[i]->request.id, i);  // arrival order preserved
@@ -191,9 +193,27 @@ TEST(DynamicBatcherTest, ClosesOnCountWithoutWaiting) {
 TEST(DynamicBatcherTest, ClosesShortBatchOnTimeout) {
   DynamicBatcher b(tiny_policy(), 1);
   auto f = b.submit(req_with_id(1));
-  const auto batch = b.next_batch();  // blocks ~max_wait_s then yields 1 row
+  std::vector<DynamicBatcher::PendingPtr> batch;
+  b.acquire_rows(batch);  // blocks ~max_wait_s then yields 1 row
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0]->request.id, 1u);
+}
+
+TEST(DynamicBatcherTest, ContinuousHandsOutALoneRowWithoutWaiting) {
+  BatchPolicy p = tiny_policy();
+  p.max_wait_s = 30.0;  // a coalescing window this test would time out on
+  p.continuous = true;
+  DynamicBatcher b(p, 1);
+  auto f = b.submit(req_with_id(1));
+  const auto t0 = DynamicBatcher::Clock::now();
+  std::vector<DynamicBatcher::PendingPtr> batch;
+  b.acquire_rows(batch);
+  const double waited_s =
+      std::chrono::duration<double>(DynamicBatcher::Clock::now() - t0)
+          .count();
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0]->request.id, 1u);
+  EXPECT_LT(waited_s, 1.0);
 }
 
 TEST(DynamicBatcherTest, ShedsWhenQueueIsFull) {
@@ -238,24 +258,38 @@ TEST(DynamicBatcherTest, DrainRejectsLateSubmitsAndFlushesQueue) {
   b.start_drain();
   auto f2 = b.submit(req_with_id(2));
   EXPECT_EQ(f2.get().outcome, Outcome::ShedShutdown);
-  auto batch = b.next_batch();  // queued row still comes out
+  std::vector<DynamicBatcher::PendingPtr> batch;
+  b.acquire_rows(batch);  // queued row still comes out
   ASSERT_EQ(batch.size(), 1u);
-  EXPECT_TRUE(b.next_batch().empty());  // then the batcher reports drained
-  EXPECT_TRUE(b.next_batch().empty());  // idempotently
+  b.acquire_rows(batch);
+  EXPECT_TRUE(batch.empty());  // then the batcher reports drained
+  b.acquire_rows(batch);
+  EXPECT_TRUE(batch.empty());  // idempotently
 }
 
 // ---- engine -----------------------------------------------------------------
+
+// The engine with its watchdog kept out: it never hedges, retires or browns
+// out, so these cases see batching, admission and drain alone.
+SupervisedOptions unsupervised(Index workers) {
+  SupervisedOptions opt;
+  opt.workers = workers;
+  opt.supervise.hedging = false;
+  opt.supervise.hang_min_age_s = 1e9;
+  opt.supervise.brownout_on_shrunken_pool = false;
+  opt.supervise.brownout_enter_shed_frac = 2.0;  // a shed fraction is <= 1
+  return opt;
+}
 
 TEST(EngineTest, ResponsesAreBitIdenticalToSerialPredict) {
   const Model m = mlp(8, 32, 4, 3);
   const Tensor x = random_inputs(64, 8, 5);
   const Tensor expected = m.predict(x, 64);
 
-  EngineOptions opt;
-  opt.workers = 3;
+  SupervisedOptions opt = unsupervised(3);
   opt.batch.max_batch = 8;
   opt.batch.max_wait_s = 5e-4;
-  Engine engine(m, opt);
+  SupervisedEngine engine(m, opt);
   std::vector<std::future<Response>> futures;
   for (Index i = 0; i < x.dim(0); ++i) {
     futures.push_back(engine.submit(request_for_row(x, i)));
@@ -293,11 +327,10 @@ TEST(EngineTest, ConcurrentProducersKeepExactAccounting) {
   const Tensor expected = m.predict(x, 32);
   const Index out_f = expected.numel() / expected.dim(0);
 
-  EngineOptions opt;
-  opt.workers = 4;
+  SupervisedOptions opt = unsupervised(4);
   opt.batch.max_batch = 8;
   opt.batch.max_wait_s = 5e-4;
-  Engine engine(m, opt);
+  SupervisedEngine engine(m, opt);
 
   constexpr int kThreads = 4;
   constexpr int kPerThread = 50;
@@ -337,12 +370,11 @@ TEST(EngineTest, OverloadShedsInsteadOfQueueingUnboundedly) {
   const Model m = mlp(16, 128, 4, 3);
   const Tensor x = random_inputs(4, 16, 13);
 
-  EngineOptions opt;
-  opt.workers = 1;
+  SupervisedOptions opt = unsupervised(1);
   opt.batch.max_batch = 4;
   opt.batch.max_wait_s = 1e-4;
   opt.batch.queue_capacity = 4;  // tiny bound: flood must shed
-  Engine engine(m, opt);
+  SupervisedEngine engine(m, opt);
   std::vector<std::future<Response>> futures;
   constexpr int kFlood = 400;
   for (int i = 0; i < kFlood; ++i) {
@@ -364,7 +396,7 @@ TEST(EngineTest, OverloadShedsInsteadOfQueueingUnboundedly) {
 
 TEST(EngineTest, SubmitAfterDrainShedsShutdown) {
   const Model m = mlp(8, 16, 4, 3);
-  Engine engine(m, {});
+  SupervisedEngine engine(m, {});
   engine.drain();
   engine.drain();  // idempotent
   Request r = request_for_row(random_inputs(1, 8, 1), 0);
@@ -375,7 +407,7 @@ TEST(EngineTest, SubmitAfterDrainShedsShutdown) {
 
 TEST(EngineTest, RejectsMalformedInput) {
   const Model m = mlp(8, 16, 4, 3);
-  Engine engine(m, {});
+  SupervisedEngine engine(m, {});
   Request r;
   r.input.assign(3, 0.0f);  // wrong sample size
   EXPECT_THROW(engine.submit(std::move(r)), Error);
@@ -446,15 +478,14 @@ TEST(EngineTest, DrainConcurrentWithSubmitsResolvesEveryFutureExactlyOnce) {
   // CI.
   const Model m = mlp(8, 32, 4, 3);
   const Tensor x = random_inputs(8, 8, 21);
-  EngineOptions opt;
-  opt.workers = 2;
+  SupervisedOptions opt = unsupervised(2);
   opt.batch.max_batch = 4;
   opt.batch.max_wait_s = 1e-4;
   constexpr int kThreads = 4;
   constexpr int kPerThread = 200;
   std::vector<std::vector<std::future<Response>>> futures(kThreads);
   {
-    Engine engine(m, opt);
+    SupervisedEngine engine(m, opt);
     std::atomic<bool> start{false};
     std::vector<std::thread> producers;
     for (int t = 0; t < kThreads; ++t) {

@@ -1,10 +1,10 @@
 // Continuous-batching serving tests (DESIGN.md "Continuous batching"):
-// the RowSlotAssembler slot matrix, the continuous Engine scheduling mode
+// the workers' BatchAssembler buffer reuse, the continuous admission rule
 // (bit-identity with serial predict, exact accounting, low-load promptness,
 // queue-wait/service latency split), the cold-start calibration probe, and
-// a randomized chaos property suite driving the continuous SupervisedEngine
-// through seeded crash/hang/corruption schedules.  Wired into the TSan and
-// ASan CI jobs alongside test_serve / test_serve_resilience.
+// a randomized chaos property suite driving the continuous engine through
+// seeded crash/hang/corruption schedules.  Wired into the TSan and ASan CI
+// jobs alongside test_serve / test_serve_resilience.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,17 +18,14 @@
 #include "nn/model.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/rng.hpp"
-#include "serve/engine.hpp"
 #include "serve/supervisor.hpp"
 
 namespace candle {
 namespace {
 
 using runtime::FaultInjector;
+using runtime::FaultKind;
 using runtime::FaultSchedule;
-using serve::BatchPolicy;
-using serve::Engine;
-using serve::EngineOptions;
 using serve::EngineStats;
 using serve::Outcome;
 using serve::Request;
@@ -89,92 +86,35 @@ void expect_bit_identical(const std::vector<Response>& responses,
   }
 }
 
-// ---- RowSlotAssembler -------------------------------------------------------
+// ---- BatchAssembler ---------------------------------------------------------
 
-TEST(RowSlotAssembler, AdmitTakesLowestFreeSlotAndEvictReopensIt) {
-  RowSlotAssembler slots({3}, 4);
-  EXPECT_EQ(slots.capacity(), 4);
-  EXPECT_EQ(slots.free_slots(), 4);
-  std::vector<float> a{1.f, 2.f, 3.f}, b{4.f, 5.f, 6.f}, c{7.f, 8.f, 9.f};
-  EXPECT_EQ(slots.admit(a), 0);
-  EXPECT_EQ(slots.admit(b), 1);
-  EXPECT_EQ(slots.admit(c), 2);
-  EXPECT_EQ(slots.occupied(), 3);
-  slots.evict(1);
-  EXPECT_FALSE(slots.slot_occupied(1));
-  EXPECT_EQ(slots.free_slots(), 2);
-  // The freed slot is refilled before any higher slot: deterministic
-  // placement, so replayed runs land rows in identical slots.
-  EXPECT_EQ(slots.admit(b), 1);
-  EXPECT_EQ(slots.admit(a), 3);
-  EXPECT_EQ(slots.occupied(), 4);
-  EXPECT_EQ(slots.free_slots(), 0);
-}
-
-TEST(RowSlotAssembler, GatherPacksOccupiedSlotsAscending) {
-  RowSlotAssembler slots({2}, 4);
-  std::vector<float> r0{0.f, 1.f}, r1{10.f, 11.f}, r2{20.f, 21.f};
-  slots.admit(r0);
-  slots.admit(r1);
-  slots.admit(r2);
-  slots.evict(1);  // occupancy {0, 2}: gather must skip the hole
-  const Tensor& y = slots.gather();
-  ASSERT_EQ(y.dim(0), 2);
-  EXPECT_EQ(y[0], 0.f);
-  EXPECT_EQ(y[1], 1.f);
-  EXPECT_EQ(y[2], 20.f);
-  EXPECT_EQ(y[3], 21.f);
-  const std::span<const Index> order = slots.gathered_slots();
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 0);
-  EXPECT_EQ(order[1], 2);
-}
-
-TEST(RowSlotAssembler, SubsetGatherReturnsRequestedSlotsInGivenOrder) {
-  RowSlotAssembler slots({2}, 4);
-  std::vector<float> r0{0.f, 1.f}, r1{10.f, 11.f}, r2{20.f, 21.f};
-  slots.admit(r0);
-  slots.admit(r1);
-  slots.admit(r2);
-  const std::vector<Index> want{2, 0};
-  const Tensor& y = slots.gather(want);
-  ASSERT_EQ(y.dim(0), 2);
-  EXPECT_EQ(y[0], 20.f);
-  EXPECT_EQ(y[1], 21.f);
-  EXPECT_EQ(y[2], 0.f);
-  EXPECT_EQ(y[3], 1.f);
-}
-
-TEST(RowSlotAssembler, SteadyStateReusesBuffersWithoutReallocation) {
-  // Slot storage and the gather target are sized once at construction; a
-  // full admit/gather/evict cycle must cycle through the same allocations
-  // (the zero-steady-state-allocation contract the serving hot path needs).
-  RowSlotAssembler slots({8}, 4);
+TEST(BatchAssembler, SteadyStateReusesBuffersWithoutReallocation) {
+  // The buffer is sized once at construction; full batches, short batches
+  // and the poisoned-row subsets an engine worker recomputes must all cycle
+  // through the same allocation (the zero-steady-state-allocation contract
+  // the serving hot path needs).
+  BatchAssembler assembler({8}, 4);
   std::vector<float> sample(8, 1.f);
-  slots.admit(sample);
-  const float* gather_buf = slots.gather().data();
-  slots.evict(0);
+  const float* buf = assembler.begin(4).data();
   for (int iter = 0; iter < 50; ++iter) {
     const Index n = 1 + (iter % 4);
-    for (Index i = 0; i < n; ++i) slots.admit(sample);
-    EXPECT_EQ(slots.gather().data(), gather_buf) << "gather reallocated";
-    for (Index s = 0; s < slots.capacity(); ++s) {
-      if (slots.slot_occupied(s)) slots.evict(s);
-    }
+    EXPECT_EQ(assembler.begin(n).data(), buf) << "begin reallocated";
+    for (Index i = 0; i < n; ++i) assembler.set_row(i, sample);
+    EXPECT_EQ(assembler.batch().dim(0), n);
   }
 }
 
-// ---- continuous Engine ------------------------------------------------------
+// ---- continuous admission ---------------------------------------------------
 
 TEST(ContinuousEngineTest, BitIdenticalToSerialPredictWithExactAccounting) {
   const Model m = mlp(16, 32, 8, 7);
   const Tensor x = random_inputs(96, 16, 11);
 
-  EngineOptions opt;
+  SupervisedOptions opt;
   opt.workers = 3;
   opt.batch.max_batch = 8;
   opt.batch.continuous = true;
-  Engine engine(m, opt);
+  SupervisedEngine engine(m, opt);
   std::vector<std::future<Response>> futures;
   for (Index i = 0; i < x.dim(0); ++i) {
     futures.push_back(engine.submit(request_for_row(x, i)));
@@ -197,22 +137,22 @@ TEST(ContinuousEngineTest, BitIdenticalToSerialPredictWithExactAccounting) {
 }
 
 TEST(ContinuousEngineTest, LowLoadServesImmediatelyWhereCoalescingWaits) {
-  // One lonely request against a wide-open fill window: the coalescing
-  // engine sits out max_wait_s before closing the batch; the continuous
-  // engine admits into a free slot the moment a worker is idle.  This is
-  // the defining latency cut of the tentpole, asserted with a 4x margin so
-  // loaded CI hosts cannot flake it.
+  // One lonely request against a wide-open fill window: coalescing
+  // admission sits out max_wait_s before closing the batch; continuous
+  // admission hands the row over the moment a worker is idle.  This is the
+  // defining latency cut of continuous batching, asserted with a 4x margin
+  // so loaded CI hosts cannot flake it.
   const Model m = mlp(8, 16, 4, 3);
   const Tensor x = random_inputs(4, 8, 5);
   const double window_s = 0.2;
 
   double coalescing_latency = 0.0;
   {
-    EngineOptions opt;
+    SupervisedOptions opt;
     opt.workers = 1;
     opt.batch.max_batch = 8;
     opt.batch.max_wait_s = window_s;
-    Engine engine(m, opt);
+    SupervisedEngine engine(m, opt);
     Response r = engine.submit(request_for_row(x, 0)).get();
     EXPECT_EQ(r.outcome, Outcome::Completed);
     coalescing_latency = r.latency_s;
@@ -220,12 +160,12 @@ TEST(ContinuousEngineTest, LowLoadServesImmediatelyWhereCoalescingWaits) {
   }
   double continuous_latency = 0.0;
   {
-    EngineOptions opt;
+    SupervisedOptions opt;
     opt.workers = 1;
     opt.batch.max_batch = 8;
     opt.batch.max_wait_s = window_s;  // ignored in continuous mode
     opt.batch.continuous = true;
-    Engine engine(m, opt);
+    SupervisedEngine engine(m, opt);
     Response r = engine.submit(request_for_row(x, 0)).get();
     EXPECT_EQ(r.outcome, Outcome::Completed);
     continuous_latency = r.latency_s;
@@ -239,11 +179,11 @@ TEST(ContinuousEngineTest, LatencySplitsIntoQueueWaitPlusService) {
   const Model m = mlp(16, 32, 8, 9);
   const Tensor x = random_inputs(64, 16, 13);
 
-  EngineOptions opt;
+  SupervisedOptions opt;
   opt.workers = 2;
   opt.batch.max_batch = 8;
   opt.batch.continuous = true;
-  Engine engine(m, opt);
+  SupervisedEngine engine(m, opt);
   std::vector<std::future<Response>> futures;
   for (Index i = 0; i < x.dim(0); ++i) {
     futures.push_back(engine.submit(request_for_row(x, i)));
@@ -279,12 +219,12 @@ TEST(CalibrationProbeTest, SeedsEwmaSoColdStartDeadlinesAreEnforced) {
   const Tensor x = random_inputs(2, 64, 23);
 
   {
-    EngineOptions opt;
+    SupervisedOptions opt;
     opt.workers = 1;
     opt.batch.max_batch = 32;
     opt.batch.continuous = true;
     opt.calibration_probe = false;
-    Engine engine(m, opt);
+    SupervisedEngine engine(m, opt);
     Request hopeless = request_for_row(x, 0);
     hopeless.deadline_s = 1e-12;  // impossible, but the cold EWMA prices 0
     const Response r = engine.submit(std::move(hopeless)).get();
@@ -292,12 +232,12 @@ TEST(CalibrationProbeTest, SeedsEwmaSoColdStartDeadlinesAreEnforced) {
     engine.drain();
   }
   {
-    EngineOptions opt;
+    SupervisedOptions opt;
     opt.workers = 1;
     opt.batch.max_batch = 32;
     opt.batch.continuous = true;
     opt.calibration_probe = true;
-    Engine engine(m, opt);
+    SupervisedEngine engine(m, opt);
     EXPECT_GT(engine.stats().ewma_row_service_s, 0.0)
         << "probe must seed the EWMA before any submit";
     Request hopeless = request_for_row(x, 0);
@@ -318,11 +258,11 @@ TEST(CalibrationProbeTest, SeedsEwmaSoColdStartDeadlinesAreEnforced) {
 
 TEST(CalibrationProbeTest, WorksForCoalescingModeToo) {
   const Model m = mlp(64, 256, 16, 25);
-  EngineOptions opt;
+  SupervisedOptions opt;
   opt.workers = 1;
   opt.batch.max_batch = 32;
   opt.calibration_probe = true;
-  Engine engine(m, opt);
+  SupervisedEngine engine(m, opt);
   EXPECT_GT(engine.stats().ewma_row_service_s, 0.0);
   Request hopeless;
   hopeless.id = 1;
@@ -402,17 +342,31 @@ TEST(ContinuousSupervisedTest, CrashedWorkerRowsAreRecoveredExactly) {
   opt.batch.max_batch = 8;
   opt.batch.continuous = true;
   SupervisedEngine engine(m, opt, &injector);
-  std::vector<std::future<Response>> futures;
-  for (Index i = 0; i < x.dim(0); ++i) {
-    futures.push_back(engine.submit(request_for_row(x, i)));
-  }
+  // The crash is keyed to worker 0's first batch, but worker 1 can drain a
+  // whole wave before worker 0 is ever scheduled.  Submit waves until the
+  // crash fires; every wave must complete either way.
+  std::uint64_t submitted = 0;
   std::vector<Response> responses;
-  for (auto& f : futures) responses.push_back(f.get());
+  for (int wave = 0; wave < 50; ++wave) {
+    std::vector<std::future<Response>> futures;
+    for (Index i = 0; i < x.dim(0); ++i) {
+      futures.push_back(engine.submit(request_for_row(x, i)));
+    }
+    submitted += static_cast<std::uint64_t>(x.dim(0));
+    for (auto& f : futures) responses.push_back(f.get());
+    bool crashed = false;
+    for (const auto& rec : injector.log()) {
+      if (rec.kind == FaultKind::WorkerCrash && rec.phase == "injected") {
+        crashed = true;
+      }
+    }
+    if (crashed) break;
+  }
   engine.drain();
   expect_bit_identical(responses, m, x);
   const EngineStats s = engine.stats();
   expect_exact_accounting(s);
-  EXPECT_EQ(s.completed, 48u);  // crash re-enqueue loses nothing
+  EXPECT_EQ(s.completed, submitted);  // crash re-enqueue loses nothing
   EXPECT_EQ(s.worker_crashes, 1u);
   EXPECT_GE(s.requeued, 1u);
 }

@@ -365,11 +365,18 @@ TEST(SupervisedEngineTest, PersistentHangEscalatesToRetirement) {
   opt.supervise.hedge_min_age_s = 5e-3;
   opt.supervise.hang_min_age_s = 30e-3;
   SupervisedEngine engine(m, opt, &injector);
-  std::vector<std::future<Response>> futures;
-  for (Index i = 0; i < 32; ++i) {
-    futures.push_back(engine.submit(request_for_row(x, i)));
+  // Keyed to worker 0's first batch, which worker 1 can starve of a whole
+  // wave (see the hedging case above): submit waves until the hang fires.
+  std::uint64_t submitted = 0;
+  for (int wave = 0; wave < 50; ++wave) {
+    std::vector<std::future<Response>> futures;
+    for (Index i = 0; i < 32; ++i) {
+      futures.push_back(engine.submit(request_for_row(x, i)));
+    }
+    submitted += 32;
+    for (auto& f : futures) EXPECT_EQ(f.get().outcome, Outcome::Completed);
+    if (count_log(injector, FaultKind::WorkerHang, "injected") == 1) break;
   }
-  for (auto& f : futures) EXPECT_EQ(f.get().outcome, Outcome::Completed);
   // The replacement spawns on a watchdog tick after its backoff elapses;
   // give it a moment before drain (which would otherwise cancel a pending
   // restart for lack of remaining work).
@@ -382,7 +389,7 @@ TEST(SupervisedEngineTest, PersistentHangEscalatesToRetirement) {
   engine.drain();
   const EngineStats s = engine.stats();
   expect_exact_accounting(s);
-  EXPECT_EQ(s.completed, 32u);
+  EXPECT_EQ(s.completed, submitted);
   EXPECT_EQ(s.worker_hangs, 1u);
   EXPECT_GE(s.worker_restarts, 1u);
   EXPECT_EQ(count_log(injector, FaultKind::WorkerHang, "detected"), 1);

@@ -76,8 +76,7 @@ TEST(Tensor, RowReturnsView) {
 
 TEST(Tensor, Dim0SliceSpansOneLeadingRowAtAnyRank) {
   // Unlike row(), dim0_slice works at any rank >= 1: the slice covers
-  // everything under one leading-dim index (the serving slot matrix's
-  // per-sample view).
+  // everything under one leading-dim index (a per-sample view).
   Tensor t3({2, 2, 2});
   auto s = t3.dim0_slice(1);
   ASSERT_EQ(s.size(), 4u);
