@@ -1,343 +1,8 @@
+// train_data_parallel itself is defined beside the one step loop it enters,
+// in resilient.cpp; this file holds the fabric-model helpers.
 #include "parallel/data_parallel.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <cmath>
-#include <cstdio>
-#include <memory>
-#include <thread>
-
-#include "data/reader.hpp"
-#include "parallel/bucketing.hpp"
-#include "parallel/collectives.hpp"
-#include "parallel/compression.hpp"
-#include "runtime/timer.hpp"
-
 namespace candle::parallel {
-
-DataParallelResult train_data_parallel(const ModelFactory& factory,
-                                       const OptimizerFactory& opt_factory,
-                                       const Dataset& train, const Loss& loss,
-                                       const DataParallelOptions& options,
-                                       Model* out_model) {
-  CANDLE_CHECK(options.replicas >= 1, "need at least one replica");
-  CANDLE_CHECK(options.epochs >= 1, "need at least one epoch");
-  CANDLE_CHECK(options.batch_per_replica >= 1, "empty replica batch");
-  const Index p = options.replicas;
-  const Index global_batch = p * options.batch_per_replica;
-  CANDLE_CHECK(train.size() >= global_batch,
-               "dataset smaller than one global batch");
-
-  // Build replicas (identical by deterministic construction).
-  std::vector<Model> replicas;
-  std::vector<std::unique_ptr<Optimizer>> optimizers;
-  replicas.reserve(static_cast<std::size_t>(p));
-  for (Index r = 0; r < p; ++r) {
-    replicas.push_back(factory());
-    CANDLE_CHECK(replicas.back().built(),
-                 "model factory must return a built model");
-    replicas.back().set_compute_precision(options.precision.compute);
-    optimizers.push_back(opt_factory());
-    optimizers.back()->set_update_precision(
-        {options.precision.weight_storage,
-         options.precision.stochastic_weight_rounding,
-         options.seed ^ 0xf00d});
-  }
-  const Index grad_size = replicas[0].grad_size();
-  const bool compress = options.gradient_topk_fraction < 1.0;
-  CANDLE_CHECK(options.gradient_topk_fraction > 0.0 &&
-                   options.gradient_topk_fraction <= 1.0,
-               "top-k fraction must be in (0,1]");
-
-  const bool bucketed = options.bucket_bytes > 0;
-  CANDLE_CHECK(!options.overlap_comm || bucketed,
-               "overlap_comm requires bucket_bytes > 0");
-  BucketPlan plan;
-  std::vector<Model::GradExtent> extents;
-  if (bucketed) {
-    extents = replicas[0].grad_extents();
-    std::vector<Index> layer_numel;
-    layer_numel.reserve(extents.size());
-    for (const auto& e : extents) layer_numel.push_back(e.numel);
-    plan = plan_buckets(layer_numel, options.bucket_bytes);
-    CANDLE_CHECK(plan.total_numel == grad_size, "bucket plan size mismatch");
-  }
-
-  // One compressor per (replica, reduction unit): the unit is the whole
-  // gradient monolithically, or each bucket when bucketing — the residual
-  // must live at the granularity that gets sparsified.
-  std::vector<ErrorFeedbackCompressor> compressors;
-  std::vector<std::vector<ErrorFeedbackCompressor>> bucket_compressors;
-  if (compress) {
-    if (bucketed) {
-      bucket_compressors.resize(static_cast<std::size_t>(p));
-      for (auto& per_replica : bucket_compressors) {
-        per_replica.reserve(plan.buckets.size());
-        for (const auto& b : plan.buckets) {
-          per_replica.emplace_back(b.numel, options.gradient_topk_fraction);
-        }
-      }
-    } else {
-      for (Index r = 0; r < p; ++r) {
-        compressors.emplace_back(grad_size, options.gradient_topk_fraction);
-      }
-    }
-  }
-
-  const Index steps_per_epoch = train.size() / global_batch;
-  CANDLE_CHECK(steps_per_epoch >= 1, "no full global batch available");
-
-  DataParallelResult result;
-  // Samples that never fill a full global batch are excluded each epoch.
-  // This was always true; now it is counted and announced instead of silent.
-  result.dropped_tail_samples = train.size() - steps_per_epoch * global_batch;
-  if (result.dropped_tail_samples > 0) {
-    std::fprintf(stderr,
-                 "[data_parallel] dropping %lld of %lld samples per epoch "
-                 "(tail smaller than the global batch of %lld)\n",
-                 static_cast<long long>(result.dropped_tail_samples),
-                 static_cast<long long>(train.size()),
-                 static_cast<long long>(global_batch));
-  }
-
-  // Batch source: either the legacy synchronous BatchIterator stream
-  // (preserved exactly — existing studies pin its sample order) or the
-  // ingest pipeline (sharded pure-permutation stream, background assembly).
-  const bool use_ingest = options.ingest.enabled;
-  std::unique_ptr<BatchIterator> batches;
-  std::vector<Dataset> shard_bufs;  // legacy: persistent per-replica shards
-  std::unique_ptr<data::DatasetSource> ingest_source;
-  std::unique_ptr<data::SampleStore> ingest_store;
-  std::unique_ptr<data::IngestReader> ingest_reader;
-  if (use_ingest) {
-    ingest_source = std::make_unique<data::DatasetSource>(
-        train, options.ingest.synthetic_fetch_cost_s);
-    data::SampleStoreOptions so;
-    so.byte_budget = options.ingest.store_byte_budget;
-    so.fetch_threads = options.ingest.fetch_threads;
-    ingest_store = std::make_unique<data::SampleStore>(*ingest_source, so);
-    data::ReaderOptions ro;
-    ro.replicas = p;
-    ro.batch_per_replica = options.batch_per_replica;
-    ro.shuffle = options.shuffle;
-    ro.seed = options.seed;
-    ro.prefetch_depth = options.ingest.prefetch_depth;
-    ingest_reader = std::make_unique<data::IngestReader>(*ingest_store, ro);
-  } else {
-    batches = std::make_unique<BatchIterator>(train, global_batch,
-                                              options.shuffle, options.seed);
-    // Refilled in place by gather_into each step; replaces the per-step
-    // slice() Dataset allocations of the old loop.
-    Shape xs = train.x.shape();
-    xs[0] = options.batch_per_replica;
-    Shape ys = train.y.shape();
-    ys[0] = options.batch_per_replica;
-    shard_bufs.reserve(static_cast<std::size_t>(p));
-    for (Index r = 0; r < p; ++r) {
-      shard_bufs.push_back(Dataset{Tensor(xs), Tensor(ys)});
-    }
-  }
-  // Exact per-step wire bytes: top-k keeps max(1, round(f*numel)) entries
-  // per reduction unit (whole gradient, or each bucket), 8B each on the
-  // wire; dense sends 4B per element regardless of bucketing.
-  auto topk_entries = [&](Index numel) {
-    return std::max<Index>(
-        1, static_cast<Index>(std::llround(options.gradient_topk_fraction *
-                                           static_cast<double>(numel))));
-  };
-  if (compress) {
-    Index entries = 0;
-    if (bucketed) {
-      for (const auto& b : plan.buckets) entries += topk_entries(b.numel);
-    } else {
-      entries = topk_entries(grad_size);
-    }
-    result.grad_bytes_per_step =
-        SparseGradient::kWireBytesPerEntry * static_cast<double>(entries);
-  } else {
-    result.grad_bytes_per_step = 4.0 * static_cast<double>(grad_size);
-  }
-  result.buckets_per_step = bucketed ? plan.num_buckets() : 1;
-
-  // Rank-0 instrumentation accumulators: written only by rank 0's thread,
-  // read after the join, divided into per-step means at the end.
-  double backward_acc = 0.0, busy_acc = 0.0, exposed_acc = 0.0;
-  // Legacy-path ingest accounting (inline assembly: busy == exposed).
-  double ingest_busy_acc = 0.0, ingest_exposed_acc = 0.0;
-
-  // Gradient buffers persist across steps (fully overwritten each step), so
-  // the steady-state loop does not touch the heap for them.
-  std::vector<std::vector<float>> grad_bufs(
-      static_cast<std::size_t>(p),
-      std::vector<float>(static_cast<std::size_t>(grad_size)));
-
-  ShmCommunicator comm(p);
-  Stopwatch clock;
-
-  for (Index epoch = 0; epoch < options.epochs; ++epoch) {
-    std::atomic<double> epoch_loss{0.0};
-    for (Index step = 0; step < steps_per_epoch; ++step) {
-      const data::StepBatch* step_batch = nullptr;
-      if (use_ingest) {
-        step_batch = &ingest_reader->acquire();
-      } else {
-        Stopwatch ingest_clock;
-        const std::span<const Index> idx = batches->next_indices();
-        for (Index r = 0; r < p; ++r) {
-          gather_into(
-              train,
-              idx.subspan(
-                  static_cast<std::size_t>(r * options.batch_per_replica),
-                  static_cast<std::size_t>(options.batch_per_replica)),
-              shard_bufs[static_cast<std::size_t>(r)]);
-        }
-        const double s = ingest_clock.seconds();
-        ingest_busy_acc += s;
-        ingest_exposed_acc += s;
-      }
-      // Launch one thread per replica for fwd/bwd + all-reduce.
-      std::vector<std::thread> threads;
-      threads.reserve(static_cast<std::size_t>(p));
-      for (Index r = 0; r < p; ++r) {
-        threads.emplace_back([&, r] {
-          const auto sri = static_cast<std::size_t>(r);
-          const Tensor& shard_x = use_ingest ? step_batch->shards[sri].x
-                                             : shard_bufs[sri].x;
-          const Tensor& shard_y = use_ingest ? step_batch->shards[sri].y
-                                             : shard_bufs[sri].y;
-          Model& m = replicas[static_cast<std::size_t>(r)];
-          const Tensor pred = m.forward(shard_x, /*training=*/true);
-          const float l = loss.value(pred, shard_y);
-          Tensor dy = loss.grad(pred, shard_y);
-          if (options.precision.loss_scale != 1.0f) {
-            dy.scale(options.precision.loss_scale);
-          }
-          const auto ri = static_cast<std::size_t>(r);
-          auto& buf = grad_bufs[ri];
-          double bwd_s = 0.0, busy_s = 0.0, exposed_s = 0.0;
-          if (!bucketed) {
-            Stopwatch bwd_clock;
-            m.backward(dy);
-            m.copy_grads_to(buf);
-            if (compress) {
-              // Each replica contributes only its top-k entries; the dropped
-              // mass rides the error-feedback residual into the next step.
-              const SparseGradient sparse = compressors[ri].compress(buf);
-              std::fill(buf.begin(), buf.end(), 0.0f);
-              sparse.add_to(buf);
-            }
-            bwd_s = bwd_clock.seconds();
-            // Average gradients across replicas: real ring all-reduce.
-            Stopwatch comm_clock;
-            comm.allreduce_ring(r, buf);
-            busy_s = exposed_s = comm_clock.seconds();
-          } else {
-            // Stream buckets out as backward produces them.  Each completed
-            // bucket is (optionally compressed and) all-reduced over its
-            // window of the flat gradient; with overlap_comm the reduction
-            // runs on the comm engine while backward keeps computing.
-            BucketAssembler assembler(plan);
-            std::vector<PendingCollective> handles(
-                static_cast<std::size_t>(plan.num_buckets()));
-            double hook_comm_s = 0.0;
-            auto launch = [&](Index b) {
-              const GradBucket& bk = plan.buckets[static_cast<std::size_t>(b)];
-              const std::span<float> window(
-                  buf.data() + bk.offset, static_cast<std::size_t>(bk.numel));
-              if (compress) {
-                const SparseGradient sparse =
-                    bucket_compressors[ri][static_cast<std::size_t>(b)]
-                        .compress(window);
-                std::fill(window.begin(), window.end(), 0.0f);
-                sparse.add_to(window);
-              }
-              if (options.overlap_comm) {
-                handles[static_cast<std::size_t>(b)] =
-                    comm.allreduce_ring_start(r, window, bk.offset, grad_size);
-              } else {
-                Stopwatch comm_clock;
-                comm.allreduce_ring(r, window, bk.offset, grad_size);
-                hook_comm_s += comm_clock.seconds();
-              }
-            };
-            Stopwatch bwd_clock;
-            m.backward(dy, [&](Index layer) {
-              const auto& e = extents[static_cast<std::size_t>(layer)];
-              if (e.numel > 0) {
-                m.copy_layer_grads_to(
-                    layer, std::span<float>(buf.data() + e.offset,
-                                            static_cast<std::size_t>(e.numel)));
-              }
-              const Index b = assembler.mark_ready(layer);
-              if (b >= 0) launch(b);
-            });
-            bwd_s = bwd_clock.seconds() - hook_comm_s;
-            if (options.overlap_comm) {
-              Stopwatch wait_clock;
-              for (auto& h : handles) h.wait();
-              exposed_s = wait_clock.seconds();
-              for (auto& h : handles) busy_s += h.busy_seconds();
-            } else {
-              busy_s = exposed_s = hook_comm_s;
-            }
-          }
-          if (r == 0) {
-            backward_acc += bwd_s;
-            busy_acc += busy_s;
-            exposed_acc += exposed_s;
-          }
-          const float scale =
-              1.0f / (static_cast<float>(p) * options.precision.loss_scale);
-          for (float& v : buf) v *= scale;
-          m.set_grads_from(buf);
-          const auto ps = m.params();
-          const auto gs = m.grads();
-          optimizers[static_cast<std::size_t>(r)]->step(ps, gs);
-          // Accumulate the global loss (pre-scaling) for reporting.
-          double expected = epoch_loss.load();
-          while (!epoch_loss.compare_exchange_weak(
-              expected, expected + static_cast<double>(l))) {
-          }
-        });
-      }
-      for (auto& t : threads) t.join();
-      if (use_ingest) ingest_reader->release();
-      ++result.steps;
-    }
-    result.epoch_loss.push_back(static_cast<float>(
-        epoch_loss.load() / static_cast<double>(steps_per_epoch * p)));
-  }
-  result.measured_seconds = clock.seconds();
-  if (use_ingest) {
-    ingest_busy_acc = ingest_reader->assemble_busy_s();
-    ingest_exposed_acc = ingest_reader->exposed_wait_s();
-  }
-  if (result.steps > 0) {
-    const double steps = static_cast<double>(result.steps);
-    result.measured_backward_s = backward_acc / steps;
-    result.measured_comm_busy_s = busy_acc / steps;
-    result.measured_exposed_comm_s = exposed_acc / steps;
-    result.measured_overlap_fraction =
-        busy_acc > 0.0
-            ? std::clamp(1.0 - exposed_acc / busy_acc, 0.0, 1.0)
-            : 0.0;
-    result.measured_ingest_busy_s = ingest_busy_acc / steps;
-    result.measured_exposed_ingest_s = ingest_exposed_acc / steps;
-    result.measured_ingest_overlap_fraction =
-        ingest_busy_acc > 0.0
-            ? std::clamp(1.0 - ingest_exposed_acc / ingest_busy_acc, 0.0, 1.0)
-            : 0.0;
-  }
-
-  if (out_model != nullptr) {
-    *out_model = factory();
-    std::vector<float> weights(
-        static_cast<std::size_t>(replicas[0].num_params()));
-    replicas[0].copy_weights_to(weights);
-    out_model->set_weights_from(weights);
-  }
-  return result;
-}
 
 double modeled_allreduce_seconds(const hpcsim::Fabric& fabric,
                                  hpcsim::AllReduceAlgo algo,

@@ -7,6 +7,12 @@
 // CANDLE benchmarks ran over MPI; the fabric wall-clock at scale is
 // reported alongside from the hpcsim model, while the numerics here are
 // measured, not modeled.
+//
+// train_data_parallel is the plain entry point to the one data-parallel
+// step loop, which lives beside its fault-tolerant entry point
+// train_resilient (parallel/resilient): it runs that loop with an empty
+// fault schedule, no checkpoint file and the communicator's default
+// timeout.  Short tail batches are skipped, never trained.
 #pragma once
 
 #include <functional>
@@ -76,32 +82,33 @@ struct DataParallelOptions {
 };
 
 struct DataParallelResult {
-  std::vector<float> epoch_loss;   // global mean training loss per epoch
-  Index steps = 0;                 // optimizer steps executed
+  std::vector<float> epoch_loss;   // per epoch: mean of the per-step means
+  Index steps = 0;                 // optimizer steps committed
   double measured_seconds = 0.0;   // wall-clock of the threaded run
   double grad_bytes_per_step = 0.0;  // wire bytes (after compression)
   /// Modeled per-step wire time of the gradient all-reduce at this replica
   /// count on `fabric` (filled by annotate_with_fabric, 0 otherwise).
   double modeled_comm_seconds_per_step = 0.0;
 
-  // Measured overlap instrumentation (rank-0 per-step means).  busy is the
-  // comm engine's execution time; exposed is the part not hidden behind
-  // backward compute (what the step actually waits for).  For monolithic
-  // and non-overlapped runs busy == exposed and the overlap fraction is 0.
+  // Measured overlap instrumentation (rank-0 means per executed step).
+  // busy is the comm engine's execution time; exposed is the part not
+  // hidden behind backward compute (what the step actually waits for).  For
+  // monolithic and non-overlapped runs busy == exposed and the overlap
+  // fraction is 0.
   Index buckets_per_step = 1;
   double measured_backward_s = 0.0;      // backward compute, comm excluded
   double measured_comm_busy_s = 0.0;     // total all-reduce execution
   double measured_exposed_comm_s = 0.0;  // comm the critical path waited on
   double measured_overlap_fraction = 0.0;  // 1 - exposed/busy, in [0,1]
 
-  /// Samples per epoch silently excluded because they do not fill a full
-  /// global batch (up to global_batch - 1; also logged once when non-zero).
+  /// Samples per epoch excluded because they do not fill a full global
+  /// batch (up to global_batch - 1; logged once when non-zero).
   Index dropped_tail_samples = 0;
 
-  // Ingest instrumentation (per-step means).  busy is total batch-assembly
-  // work wherever it ran; exposed is the part the step loop actually waited
-  // on.  On the legacy synchronous path busy == exposed (assembly runs
-  // inline on the training thread).
+  // Ingest instrumentation (means per executed step).  busy is total
+  // batch-assembly work wherever it ran; exposed is the part the step loop
+  // actually waited on.  On the legacy synchronous path busy == exposed
+  // (assembly runs inline on the training thread).
   double measured_ingest_busy_s = 0.0;
   double measured_exposed_ingest_s = 0.0;
   double measured_ingest_overlap_fraction = 0.0;  // 1 - exposed/busy
@@ -109,7 +116,8 @@ struct DataParallelResult {
 
 /// Run synchronous data-parallel training.  Returns per-epoch global loss.
 /// Replica models remain in sync; the final weights land in `out_model`
-/// (built via `factory` and overwritten with the trained weights).
+/// (built via `factory` and overwritten with the trained weights).  Throws
+/// candle::Error if the reduced gradient turns non-finite (divergence).
 DataParallelResult train_data_parallel(const ModelFactory& factory,
                                        const OptimizerFactory& opt_factory,
                                        const Dataset& train, const Loss& loss,

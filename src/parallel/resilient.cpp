@@ -7,12 +7,14 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "data/reader.hpp"
 #include "nn/serialize.hpp"
 #include "parallel/bucketing.hpp"
 #include "parallel/collectives.hpp"
+#include "parallel/compression.hpp"
 #include "parallel/param_server.hpp"
 #include "runtime/timer.hpp"
 
@@ -46,48 +48,28 @@ bool contributes(StepRole r) {
   return r == StepRole::Fresh || r == StepRole::StalePush;
 }
 
-bool all_finite(const std::vector<float>& v) {
-  for (float x : v) {
-    if (!std::isfinite(x)) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-const char* mitigation_mode_name(MitigationMode mode) {
-  switch (mode) {
-    case MitigationMode::None:             return "none";
-    case MitigationMode::Backup:           return "backup";
-    case MitigationMode::BoundedStaleness: return "stale";
-  }
-  return "unknown";
-}
-
-ResilientResult train_resilient(const ModelFactory& factory,
-                                const OptimizerFactory& opt_factory,
-                                const Dataset& train, const Loss& loss,
-                                const ResilientOptions& options,
-                                Model* out_model) {
+/// The one synchronous data-parallel step loop behind both entry points.
+/// An empty checkpoint path writes no checkpoint (a restore then restarts
+/// from the factory state); `timeout` overrides the communicators' dead-rank
+/// suspicion window, nullopt keeps ShmCommunicator's default.
+ResilientResult run_step_loop(const ModelFactory& factory,
+                              const OptimizerFactory& opt_factory,
+                              const Dataset& train, const Loss& loss,
+                              const ResilientOptions& options,
+                              std::optional<std::chrono::milliseconds> timeout,
+                              Model* out_model) {
   const DataParallelOptions& t = options.train;
   CANDLE_CHECK(t.replicas >= 1, "need at least one replica");
   CANDLE_CHECK(t.epochs >= 1, "need at least one epoch");
   CANDLE_CHECK(t.batch_per_replica >= 1, "empty replica batch");
-  CANDLE_CHECK(!options.checkpoint_path.empty(),
-               "resilient training needs a checkpoint path");
+  CANDLE_CHECK(t.gradient_topk_fraction > 0.0 &&
+                   t.gradient_topk_fraction <= 1.0,
+               "top-k fraction must be in (0,1]");
   CANDLE_CHECK(options.step_seconds > 0.0, "step_seconds must be positive");
   CANDLE_CHECK(options.checkpoint_write_retries >= 0,
                "checkpoint_write_retries must be non-negative");
   CANDLE_CHECK(options.checkpoint_retry_backoff_s >= 0.0,
                "checkpoint_retry_backoff_s must be non-negative");
-  // Bit-exact restore requires every piece of training state to live in the
-  // checkpoint; two features keep state elsewhere and are rejected here.
-  CANDLE_CHECK(t.gradient_topk_fraction == 1.0,
-               "resilient trainer requires dense gradients: the top-k "
-               "error-feedback residual is per-replica state that "
-               "checkpoints do not capture");
-  CANDLE_CHECK(!t.precision.stochastic_weight_rounding,
-               "stochastic-rounding RNG stream is not checkpointed");
   const MitigationMode mode = options.mitigation;
   if (mode == MitigationMode::Backup) {
     CANDLE_CHECK(options.backup_workers >= 1 &&
@@ -103,7 +85,6 @@ ResilientResult train_resilient(const ModelFactory& factory,
   const Index b = t.batch_per_replica;
   CANDLE_CHECK(train.size() >= p0 * b, "dataset smaller than one global batch");
   const Index steps_per_epoch = train.size() / (p0 * b);
-  CANDLE_CHECK(steps_per_epoch >= 1, "no full global batch available");
   const Index planned = t.epochs * steps_per_epoch;
 
   Index k = options.checkpoint_every_steps;
@@ -125,7 +106,7 @@ ResilientResult train_resilient(const ModelFactory& factory,
   result.dropped_tail_samples = train.size() - steps_per_epoch * (p0 * b);
   if (result.dropped_tail_samples > 0) {
     std::fprintf(stderr,
-                 "[resilient] dropping %lld of %lld samples per epoch "
+                 "[data_parallel] dropping %lld of %lld samples per epoch "
                  "(tail smaller than the global batch of %lld)\n",
                  static_cast<long long>(result.dropped_tail_samples),
                  static_cast<long long>(train.size()),
@@ -175,6 +156,8 @@ ResilientResult train_resilient(const ModelFactory& factory,
                "windowed (bucketed) form");
   BucketPlan plan;
   std::vector<Model::GradExtent> extents;
+  // Reduction units: each bucket, or the whole gradient when monolithic.
+  std::vector<Index> unit_numel{grad_size};
   if (bucketed) {
     extents = replicas[0].grad_extents();
     std::vector<Index> layer_numel;
@@ -182,16 +165,50 @@ ResilientResult train_resilient(const ModelFactory& factory,
     for (const auto& e : extents) layer_numel.push_back(e.numel);
     plan = plan_buckets(layer_numel, t.bucket_bytes);
     CANDLE_CHECK(plan.total_numel == grad_size, "bucket plan size mismatch");
+    unit_numel.clear();
+    for (const auto& bk : plan.buckets) unit_numel.push_back(bk.numel);
   }
+
+  // Top-k error feedback keeps one residual per (rank, reduction unit): the
+  // residual must live at the granularity that gets sparsified.  Only the
+  // plain entry point compresses, so the fleet never changes under it.
+  const bool compress = t.gradient_topk_fraction < 1.0;
+  std::vector<std::vector<ErrorFeedbackCompressor>> compressors(
+      compress ? static_cast<std::size_t>(p0) : 0);
+  for (auto& per_rank : compressors) {
+    for (const Index n : unit_numel) {
+      per_rank.emplace_back(n, t.gradient_topk_fraction);
+    }
+  }
+  auto sparsify = [&](std::size_t rank, std::size_t unit,
+                      std::span<float> window) {
+    // The rank contributes only its top-k entries; the dropped mass rides
+    // the error-feedback residual into the next step.
+    const SparseGradient sparse = compressors[rank][unit].compress(window);
+    std::fill(window.begin(), window.end(), 0.0f);
+    sparse.add_to(window);
+  };
+  // Exact per-step wire bytes: top-k keeps max(1, round(f*numel)) entries
+  // per reduction unit, 8 B each; dense sends 4 B per element regardless of
+  // bucketing.
+  double wire_entries = 0.0;
+  for (const Index n : unit_numel) {
+    wire_entries += static_cast<double>(
+        compress ? std::max<Index>(1, static_cast<Index>(std::llround(
+                                          t.gradient_topk_fraction *
+                                          static_cast<double>(n))))
+                 : n);
+  }
+  result.grad_bytes_per_step =
+      (compress ? SparseGradient::kWireBytesPerEntry : 4.0) * wire_entries;
+  result.buckets_per_step = bucketed ? plan.num_buckets() : 1;
 
   auto fresh_comm = [&] {
     auto c = std::make_shared<ShmCommunicator>(live_p);
-    c->set_timeout(options.collective_timeout);
+    if (timeout) c->set_timeout(*timeout);
     return c;
   };
   std::shared_ptr<ShmCommunicator> comm = fresh_comm();
-  const double grad_bytes =
-      static_cast<double>(grad_size) * static_cast<double>(sizeof(float));
 
   // ---- straggler-mitigation state -------------------------------------------
   // All of it is derived from the deterministic schedule on the main thread;
@@ -217,7 +234,8 @@ ResilientResult train_resilient(const ModelFactory& factory,
   //
   // Two implementations share that contract:
   //  * legacy BatchIterator — stateful shuffle RNG, so repositioning means
-  //    replaying every batch from the stream anchor (O(steps));
+  //    replaying every batch from the stream anchor (O(steps)).  Each step's
+  //    shards are gathered into persistent per-rank buffers;
   //  * ingest reader (t.ingest.enabled) — (seed, epoch)-pure permutations,
   //    so a stream position is just a cursor and repositioning is an O(1)
   //    seek.  The cursor (epoch, step, stream seed) is recorded in the v3
@@ -228,9 +246,13 @@ ResilientResult train_resilient(const ModelFactory& factory,
   Index iter_base = 0;   // committed step at which the current stream started
   Index committed = 0;
   std::unique_ptr<BatchIterator> batches;
+  std::vector<Dataset> shard_bufs;  // legacy path: refilled in place per step
   std::unique_ptr<data::DatasetSource> ingest_source;
   std::unique_ptr<data::SampleStore> ingest_store;
   std::unique_ptr<data::IngestReader> reader;
+  // Ingest work (busy) and the part the step waited on (exposed); the
+  // legacy path assembles inline, so there busy == exposed.
+  double ingest_busy_acc = 0.0, ingest_exposed_acc = 0.0;
   if (use_ingest) {
     ingest_source = std::make_unique<data::DatasetSource>(
         train, t.ingest.synthetic_fetch_cost_s);
@@ -238,6 +260,14 @@ ResilientResult train_resilient(const ModelFactory& factory,
     so.byte_budget = t.ingest.store_byte_budget;
     so.fetch_threads = t.ingest.fetch_threads;
     ingest_store = std::make_unique<data::SampleStore>(*ingest_source, so);
+  } else {
+    Shape xs = train.x.shape();
+    xs[0] = b;
+    Shape ys = train.y.shape();
+    ys[0] = b;
+    for (Index r = 0; r < p0; ++r) {
+      shard_bufs.push_back(Dataset{Tensor(xs), Tensor(ys)});
+    }
   }
   // The iterator yields a short tail batch when the global batch does not
   // divide the dataset (the norm after an elastic shrink re-shards at p-1
@@ -245,10 +275,10 @@ ResilientResult train_resilient(const ModelFactory& factory,
   // full batches is still a pure function of (seed, width) and replay after
   // a restore stays aligned.  (The ingest reader never emits short batches:
   // its sample list drops the tail by construction.)
-  auto next_full = [&]() -> Dataset {
+  auto next_full = [&]() -> std::span<const Index> {
     for (;;) {
-      Dataset g = batches->next();
-      if (g.size() == live_p * b) return g;
+      const std::span<const Index> idx = batches->next_indices();
+      if (static_cast<Index>(idx.size()) == live_p * b) return idx;
     }
   };
   // Current stream position of the NEXT batch, as a flat count of full
@@ -258,7 +288,11 @@ ResilientResult train_resilient(const ModelFactory& factory,
     if (use_ingest) {
       // (Re)build the reader at the current width/seed — width changes only
       // on elastic shrink, which passes through here — then O(1)-seek to
-      // the current stream position.
+      // the current stream position (a fresh reader already sits at 0).
+      if (reader) {
+        ingest_busy_acc += reader->assemble_busy_s();
+        ingest_exposed_acc += reader->exposed_wait_s();
+      }
       data::ReaderOptions ro;
       ro.replicas = live_p;
       ro.batch_per_replica = b;
@@ -266,7 +300,9 @@ ResilientResult train_resilient(const ModelFactory& factory,
       ro.seed = iter_seed;
       ro.prefetch_depth = t.ingest.prefetch_depth;
       reader = std::make_unique<data::IngestReader>(*ingest_store, ro);
-      reader->seek(reader->list().cursor_at(stream_position()));
+      if (stream_position() > 0) {
+        reader->seek(reader->list().cursor_at(stream_position()));
+      }
       return;
     }
     batches = std::make_unique<BatchIterator>(train, live_p * b, t.shuffle,
@@ -280,8 +316,33 @@ ResilientResult train_resilient(const ModelFactory& factory,
   Index last_ckpt_step = -1;
   Index next_ckpt = 0;  // write the initial checkpoint before step 0
   Index recoveries = 0;
+  // Set when a GradientCorruption is injected, cleared by every recovery: a
+  // non-finite reduced gradient without one is divergence, not a fault.
+  std::atomic<bool> corruption_injected{false};
+
+  // Gradient buffers persist across steps (fully overwritten each step), so
+  // the steady-state loop does not touch the heap for them.
+  std::vector<std::vector<float>> grad_bufs(
+      static_cast<std::size_t>(p0),
+      std::vector<float>(static_cast<std::size_t>(grad_size)));
+
+  // Rank-0 instrumentation: written only by rank 0's thread, read after the
+  // join, divided into per-step means at the end.
+  double backward_acc = 0.0, busy_acc = 0.0, exposed_acc = 0.0;
+
+  // Entries [0, n) a GradientCorruption event poisons; logs the injection.
+  auto inject_corruption = [&](const runtime::FaultEvent& ev, Index r,
+                               const std::string& what) {
+    const Index n =
+        std::min<Index>(std::max<Index>(ev.corrupt_count, 1), grad_size);
+    corruption_injected.store(true);
+    injector.record(committed, r, FaultKind::GradientCorruption, "injected",
+                    std::to_string(n) + what);
+    return n;
+  };
 
   auto write_checkpoint = [&] {
+    if (options.checkpoint_path.empty()) return;
     // A failed write is retried (bounded, exponential backoff) before the
     // interval is declared lost: a transient writer fault costs one retry
     // instead of a whole checkpoint interval of replay.  Each attempt polls
@@ -386,19 +447,25 @@ ResilientResult train_resilient(const ModelFactory& factory,
       next_ckpt = committed + k;
     }
 
-    Dataset global;
     const data::StepBatch* step_batch = nullptr;
     if (use_ingest) {
       step_batch = &reader->acquire();
     } else {
-      global = next_full();
+      Stopwatch ingest_clock;
+      const std::span<const Index> idx = next_full();
+      for (Index r = 0; r < live_p; ++r) {
+        gather_into(train,
+                    idx.subspan(static_cast<std::size_t>(r * b),
+                                static_cast<std::size_t>(b)),
+                    shard_bufs[static_cast<std::size_t>(r)]);
+      }
+      const double s = ingest_clock.seconds();
+      ingest_busy_acc += s;
+      ingest_exposed_acc += s;
     }
     ++result.executed_steps;
     AttemptOutcome outcome;
     std::vector<float> rank_loss(static_cast<std::size_t>(live_p), 0.0f);
-    std::vector<std::vector<float>> grad_bufs(
-        static_cast<std::size_t>(live_p),
-        std::vector<float>(static_cast<std::size_t>(grad_size)));
 
     // ---- role assignment (main thread, from the deterministic schedule) -----
     // Participant sets are a pure function of the seeded fault schedule,
@@ -525,12 +592,8 @@ ResilientResult train_resilient(const ModelFactory& factory,
         if (auto ev =
                 injector.poll(FaultKind::GradientCorruption, committed, r)) {
           if (roles[i] == StepRole::StalePush) {
-            push_corrupt[i] = std::min<Index>(
-                std::max<Index>(ev->corrupt_count, 1), grad_size);
-            injector.record(committed, r, FaultKind::GradientCorruption,
-                            "injected",
-                            std::to_string(push_corrupt[i]) +
-                                " stale-push gradient entries corrupted");
+            push_corrupt[i] = inject_corruption(
+                *ev, r, " stale-push gradient entries corrupted");
           } else {
             ++result.corruptions_skipped;
             injector.record(committed, r, FaultKind::GradientCorruption,
@@ -569,62 +632,51 @@ ResilientResult train_resilient(const ModelFactory& factory,
         Model& m = replicas[i];
         auto& buf = grad_bufs[i];
         const StepRole role = roles[i];
+        // Backward compute, all-reduce execution, and the part of it the
+        // step waited on (busy == exposed unless buckets overlap backward).
+        double bwd_s = 0.0, busy_s = 0.0, exposed_s = 0.0;
         if (computes(role)) {
-          // Shard source: the ingest reader hands each rank its assembled
-          // slot tensors (read-only, shared with no one); the legacy path
-          // still slices the gathered global batch.
-          Dataset legacy_shard;
-          const Tensor* sx;
-          const Tensor* sy;
-          if (use_ingest) {
-            sx = &step_batch->shards[i].x;
-            sy = &step_batch->shards[i].y;
-          } else {
-            const Index lo = r * b;
-            legacy_shard = slice(global, lo, lo + b);
-            sx = &legacy_shard.x;
-            sy = &legacy_shard.y;
-          }
-          const Tensor pred = m.forward(*sx, /*training=*/true);
-          rank_loss[i] = loss.value(pred, *sy);
-          Tensor dy = loss.grad(pred, *sy);
+          const Tensor& sx =
+              use_ingest ? step_batch->shards[i].x : shard_bufs[i].x;
+          const Tensor& sy =
+              use_ingest ? step_batch->shards[i].y : shard_bufs[i].y;
+          const Tensor pred = m.forward(sx, /*training=*/true);
+          rank_loss[i] = loss.value(pred, sy);
+          Tensor dy = loss.grad(pred, sy);
           if (t.precision.loss_scale != 1.0f) dy.scale(t.precision.loss_scale);
           if (!bucketed) {
+            Stopwatch bwd_clock;
             m.backward(dy);
             m.copy_grads_to(buf);
+            if (compress) sparsify(i, 0, buf);
+            bwd_s = bwd_clock.seconds();
             if (auto ev = injector.poll(FaultKind::GradientCorruption,
                                         committed, r)) {
-              const Index n = std::min<Index>(
-                  std::max<Index>(ev->corrupt_count, 1), grad_size);
-              for (Index j = 0; j < n; ++j) {
-                buf[static_cast<std::size_t>(j)] =
-                    std::numeric_limits<float>::quiet_NaN();
-              }
-              injector.record(committed, r, FaultKind::GradientCorruption,
-                              "injected",
-                              std::to_string(n) +
-                                  " gradient entries corrupted");
+              std::fill_n(buf.begin(),
+                          inject_corruption(*ev, r,
+                                            " gradient entries corrupted"),
+                          std::numeric_limits<float>::quiet_NaN());
             }
           } else {
             // Bucketed path (mode None only, so every live rank is here).
-            // A corruption event must land BEFORE its bucket ships, so it is
-            // polled up front and poisoned into each layer segment as the
-            // hook copies it out — the same flat prefix [0, n) the
-            // monolithic path poisons, just injected stream-side.
+            // Buckets stream out as backward produces them; with
+            // overlap_comm each reduction runs on the comm engine while
+            // backward keeps computing.  A corruption event must land
+            // BEFORE its bucket ships, so it is polled up front and
+            // poisoned into each layer segment as the hook copies it out —
+            // the same flat prefix [0, n) the monolithic path poisons.
             Index corrupt_n = 0;
             if (auto ev = injector.poll(FaultKind::GradientCorruption,
                                         committed, r)) {
-              corrupt_n = std::min<Index>(
-                  std::max<Index>(ev->corrupt_count, 1), grad_size);
-              injector.record(committed, r, FaultKind::GradientCorruption,
-                              "injected",
-                              std::to_string(corrupt_n) +
-                                  " gradient entries corrupted");
+              corrupt_n =
+                  inject_corruption(*ev, r, " gradient entries corrupted");
             }
             BucketAssembler assembler(plan);
             std::vector<PendingCollective> handles(
                 static_cast<std::size_t>(plan.num_buckets()));
+            double hook_comm_s = 0.0;
             try {
+              Stopwatch bwd_clock;
               m.backward(dy, [&](Index layer) {
                 const auto& e = extents[static_cast<std::size_t>(layer)];
                 if (e.numel > 0) {
@@ -639,23 +691,29 @@ ResilientResult train_resilient(const ModelFactory& factory,
                   }
                 }
                 const Index bk = assembler.mark_ready(layer);
-                if (bk >= 0) {
-                  const GradBucket& gb =
-                      plan.buckets[static_cast<std::size_t>(bk)];
-                  const std::span<float> window(
-                      buf.data() + gb.offset,
-                      static_cast<std::size_t>(gb.numel));
-                  if (t.overlap_comm) {
-                    handles[static_cast<std::size_t>(bk)] =
-                        comm->allreduce_ring_start(r, window, gb.offset,
-                                                   grad_size);
-                  } else {
-                    comm->allreduce_ring(r, window, gb.offset, grad_size);
-                  }
+                if (bk < 0) return;
+                const GradBucket& gb =
+                    plan.buckets[static_cast<std::size_t>(bk)];
+                const std::span<float> window(
+                    buf.data() + gb.offset, static_cast<std::size_t>(gb.numel));
+                if (compress) sparsify(i, static_cast<std::size_t>(bk), window);
+                if (t.overlap_comm) {
+                  handles[static_cast<std::size_t>(bk)] =
+                      comm->allreduce_ring_start(r, window, gb.offset,
+                                                 grad_size);
+                } else {
+                  Stopwatch comm_clock;
+                  comm->allreduce_ring(r, window, gb.offset, grad_size);
+                  hook_comm_s += comm_clock.seconds();
                 }
               });
+              bwd_s = bwd_clock.seconds() - hook_comm_s;
+              busy_s = exposed_s = hook_comm_s;
               if (t.overlap_comm) {
+                Stopwatch wait_clock;
                 for (auto& h : handles) h.wait();
+                exposed_s = wait_clock.seconds();
+                for (auto& h : handles) busy_s += h.busy_seconds();
               }
             } catch (const RankFailure&) {
               outcome.collective_failed.store(true);
@@ -673,30 +731,44 @@ ResilientResult train_resilient(const ModelFactory& factory,
           const float w = push_weight[i];
           const auto& saved = stale_grad[i];
           for (std::size_t j = 0; j < buf.size(); ++j) buf[j] = saved[j] * w;
-          for (Index j = 0; j < push_corrupt[i]; ++j) {
-            buf[static_cast<std::size_t>(j)] =
-                std::numeric_limits<float>::quiet_NaN();
+          std::fill_n(buf.begin(), push_corrupt[i],
+                      std::numeric_limits<float>::quiet_NaN());
+        }
+        if (!bucketed) {  // the bucketed path already reduced every window
+          try {
+            Stopwatch comm_clock;
+            if (mode == MitigationMode::None) {
+              comm->allreduce_ring(r, buf);
+            } else {
+              comm->allreduce_quorum(r, buf, contributes(role));
+            }
+            busy_s = exposed_s = comm_clock.seconds();
+          } catch (const RankFailure&) {
+            outcome.collective_failed.store(true);
+            return;  // unwound cleanly; recovery happens on the main thread
           }
         }
-        try {
-          if (mode == MitigationMode::None) {
-            // The bucketed path already reduced every window above.
-            if (!bucketed) comm->allreduce_ring(r, buf);
-          } else {
-            comm->allreduce_quorum(r, buf, contributes(role));
-          }
-        } catch (const RankFailure&) {
-          outcome.collective_failed.store(true);
-          return;  // unwound cleanly; recovery happens on the main thread
+        if (r == 0) {
+          backward_acc += bwd_s;
+          busy_acc += busy_s;
+          exposed_acc += exposed_s;
         }
-        // The reduced vector is identical on every rank, so this check is
-        // collective: either all live ranks commit or none do.
-        if (!all_finite(buf)) {
+        // The reduced vector is identical on every rank, so the finiteness
+        // gate is collective: either all live ranks commit or none do.  It
+        // rides the scaling pass, so a clean step reads the gradient once.
+        const float scale = 1.0f / (divisor * t.precision.loss_scale);
+        // |v| <= max is isfinite(v), spelled with an int accumulator so the
+        // fused loop vectorizes.
+        int finite = 1;
+        for (float& v : buf) {
+          finite &= static_cast<int>(std::fabs(v) <=
+                                     std::numeric_limits<float>::max());
+          v *= scale;
+        }
+        if (finite == 0) {
           outcome.corrupt.store(true);
           return;
         }
-        const float scale = 1.0f / (divisor * t.precision.loss_scale);
-        for (float& v : buf) v *= scale;
         // Every live rank — contributing or not — applies the identical
         // committed update, which is what keeps the fleet bit-synchronized.
         m.set_grads_from(buf);
@@ -730,6 +802,7 @@ ResilientResult train_resilient(const ModelFactory& factory,
     if (rank_died) {
       result.crashes += outcome.crashed.load();
       ++recoveries;
+      corruption_injected.store(false);
       const std::vector<Index> alive = comm->alive_ranks();
       {
         std::string dead;
@@ -778,8 +851,14 @@ ResilientResult train_resilient(const ModelFactory& factory,
       continue;
     }
     if (outcome.corrupt.load()) {
+      if (!corruption_injected.load()) {
+        throw Error("training diverged at step " + std::to_string(committed) +
+                    ": non-finite reduced gradient with no injected "
+                    "corruption since the last recovery");
+      }
       ++result.corruptions;
       ++recoveries;
+      corruption_injected.store(false);
       injector.record(committed, -1, FaultKind::GradientCorruption,
                       "detected", "non-finite gradient after all-reduce");
       restore_checkpoint(FaultKind::GradientCorruption);
@@ -805,8 +884,9 @@ ResilientResult train_resilient(const ModelFactory& factory,
 
     // Wire time of the committed gradient collective, priced at the quorum
     // size (partial collectives are cheaper than full-width ones).
-    result.modeled_comm_s += modeled_allreduce_seconds(
-        options.fabric, options.allreduce_algo, contributors, grad_bytes);
+    result.modeled_comm_s +=
+        modeled_allreduce_seconds(options.fabric, options.allreduce_algo,
+                                  contributors, result.grad_bytes_per_step);
     if (contributors < live_p) ++result.quorum_commits;
 
     if (mode == MitigationMode::Backup) {
@@ -841,6 +921,7 @@ ResilientResult train_resilient(const ModelFactory& factory,
     ++committed;
   }
   result.measured_seconds = clock.seconds();
+  result.steps = committed;
   result.committed_steps = committed;
   result.final_replicas = live_p;
   result.mean_staleness = staleness.mean();
@@ -855,6 +936,25 @@ ResilientResult train_resilient(const ModelFactory& factory,
     result.epoch_loss.push_back(
         static_cast<float>(sum / static_cast<double>(steps_per_epoch)));
   }
+
+  // Measured per-step means over every executed attempt.
+  if (use_ingest) {
+    ingest_busy_acc += reader->assemble_busy_s();
+    ingest_exposed_acc += reader->exposed_wait_s();
+  }
+  const double attempts = static_cast<double>(result.executed_steps);
+  result.measured_backward_s = backward_acc / attempts;
+  result.measured_comm_busy_s = busy_acc / attempts;
+  result.measured_exposed_comm_s = exposed_acc / attempts;
+  result.measured_overlap_fraction =
+      busy_acc > 0.0 ? std::clamp(1.0 - exposed_acc / busy_acc, 0.0, 1.0)
+                     : 0.0;
+  result.measured_ingest_busy_s = ingest_busy_acc / attempts;
+  result.measured_exposed_ingest_s = ingest_exposed_acc / attempts;
+  result.measured_ingest_overlap_fraction =
+      ingest_busy_acc > 0.0
+          ? std::clamp(1.0 - ingest_exposed_acc / ingest_busy_acc, 0.0, 1.0)
+          : 0.0;
 
   // Modeled accounting at nominal costs, against the analytic closed form.
   const double work_s = static_cast<double>(planned) * options.step_seconds;
@@ -882,6 +982,49 @@ ResilientResult train_resilient(const ModelFactory& factory,
     out_model->set_weights_from(weights);
   }
   return result;
+}
+
+}  // namespace
+
+const char* mitigation_mode_name(MitigationMode mode) {
+  switch (mode) {
+    case MitigationMode::None:             return "none";
+    case MitigationMode::Backup:           return "backup";
+    case MitigationMode::BoundedStaleness: return "stale";
+  }
+  return "unknown";
+}
+
+DataParallelResult train_data_parallel(const ModelFactory& factory,
+                                       const OptimizerFactory& opt_factory,
+                                       const Dataset& train, const Loss& loss,
+                                       const DataParallelOptions& options,
+                                       Model* out_model) {
+  // The plain entry point: no faults, no checkpoint file, and the
+  // communicator's default suspicion window.
+  ResilientOptions plain;
+  plain.train = options;
+  return run_step_loop(factory, opt_factory, train, loss, plain, std::nullopt,
+                       out_model);
+}
+
+ResilientResult train_resilient(const ModelFactory& factory,
+                                const OptimizerFactory& opt_factory,
+                                const Dataset& train, const Loss& loss,
+                                const ResilientOptions& options,
+                                Model* out_model) {
+  CANDLE_CHECK(!options.checkpoint_path.empty(),
+               "resilient training needs a checkpoint path");
+  // Bit-exact restore requires every piece of training state to live in the
+  // checkpoint; two features keep state elsewhere and are rejected here.
+  CANDLE_CHECK(options.train.gradient_topk_fraction == 1.0,
+               "resilient trainer requires dense gradients: the top-k "
+               "error-feedback residual is per-replica state that "
+               "checkpoints do not capture");
+  CANDLE_CHECK(!options.train.precision.stochastic_weight_rounding,
+               "stochastic-rounding RNG stream is not checkpointed");
+  return run_step_loop(factory, opt_factory, train, loss, options,
+                       options.collective_timeout, out_model);
 }
 
 }  // namespace candle::parallel

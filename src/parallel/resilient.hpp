@@ -1,11 +1,14 @@
 // Fault-tolerant synchronous data-parallel training.
 //
-// Wraps the data-parallel step loop with the full recovery stack the paper's
-// 4096-node campaigns needed operationally: training state (weights AND
-// optimizer state) is checkpointed at the Young/Daly interval computed from
-// hpcsim::resilience, deterministic faults from runtime::FaultInjector are
-// injected into the real replica threads, dead ranks surface as typed
-// RankFailure from the failure-aware collectives, and recovery either
+// There is one data-parallel step loop (resilient.cpp) with two entry
+// points: train_data_parallel runs it with no faults, no checkpoint file and
+// the communicator's default timeout; train_resilient runs it with the full
+// recovery stack the paper's 4096-node campaigns needed operationally:
+// training state (weights AND optimizer state) is checkpointed at the
+// Young/Daly interval computed from hpcsim::resilience, deterministic faults
+// from runtime::FaultInjector are injected into the real replica threads,
+// dead ranks surface as typed RankFailure from the failure-aware
+// collectives, and recovery either
 //
 //   * RESTARTS: every replica reloads the last checkpoint and the batch
 //     stream is replayed from it — bit-identical to a failure-free run,
@@ -17,7 +20,9 @@
 //
 // Transient gradient corruption is detected after the all-reduce (the
 // reduced vector is identical on every rank, so detection is collective and
-// divergence-free) and repaired by rolling back to the last checkpoint.
+// divergence-free) and repaired by rolling back to the last checkpoint.  A
+// non-finite reduced gradient with no corruption injected since the last
+// recovery is divergence: both entry points throw instead of replaying it.
 // Every fault, detection, and recovery is appended to the structured log.
 //
 // The result carries both measured wall-clock and a modeled accounting
@@ -129,11 +134,10 @@ struct ResilientOptions {
   hpcsim::AllReduceAlgo allreduce_algo = hpcsim::AllReduceAlgo::Ring;
 };
 
-struct ResilientResult {
-  std::vector<float> epoch_loss;   // per-epoch mean loss over committed steps
-  /// Samples per epoch (at the initial width) that do not fill a full
-  /// global batch and are never trained (surfaced, logged once).
-  Index dropped_tail_samples = 0;
+/// The data-parallel instrumentation (epoch losses over committed steps,
+/// tail samples at the initial width, measured per-step means) plus the
+/// recovery and mitigation accounting.
+struct ResilientResult : DataParallelResult {
   Index planned_steps = 0;         // optimizer steps the run must commit
   Index committed_steps = 0;       // equals planned_steps on success
   Index executed_steps = 0;        // attempts, including lost/replayed work
@@ -152,7 +156,6 @@ struct ResilientResult {
   Index restarts = 0;              // checkpoint-restore recoveries
   Index shrinks = 0;               // elastic p -> p-1 recoveries
   Index final_replicas = 0;
-  double measured_seconds = 0.0;   // wall-clock of the threaded run
   double straggler_delay_s = 0.0;  // total injected stall time
 
   /// Per-rank injected stall time, indexed by the rank id current when the
@@ -206,9 +209,11 @@ struct ResilientResult {
 
 /// Run fault-tolerant synchronous data-parallel training.  Final weights
 /// (of replica 0; replicas stay in sync) land in `out_model` when given.
+/// Throws candle::Error when training diverges (see the file comment).
 ///
 /// Determinism contract: with RecoveryPolicy::Restart the final weights are
-/// bit-identical to the same configuration run without faults.  Requires
+/// bit-identical to the same configuration run without faults, and so to
+/// train_data_parallel on `options.train` (the same loop).  Requires
 /// dense gradients (no top-k compression: the error-feedback residual is
 /// per-replica state a checkpoint does not capture) and deterministic
 /// weight rounding (the stochastic-rounding stream is not checkpointed).

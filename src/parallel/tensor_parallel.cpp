@@ -1,7 +1,5 @@
 #include "parallel/tensor_parallel.hpp"
 
-#include <thread>
-
 #include "core/kernels.hpp"
 
 namespace candle::parallel {
@@ -101,34 +99,6 @@ const Tensor& ShardedDense::weight_grad(Index shard) const {
 const Tensor& ShardedDense::bias_grad(Index shard) const {
   CANDLE_CHECK(shard >= 0 && shard < shards(), "shard index out of range");
   return slices_[static_cast<std::size_t>(shard)].db;
-}
-
-Tensor sharded_dense_forward_threaded(ShardedDense& layer, const Tensor& x) {
-  const Index p = layer.shards();
-  const Index batch = x.dim(0);
-  const Index out = layer.out_features();
-  // Each shard thread computes its slice into a shared row-major buffer
-  // organized as per-shard slices, then an all-gather-style barrier makes
-  // the assembled activation visible to everyone.
-  Tensor y({batch, out});
-  ShmCommunicator comm(p);
-  std::vector<std::thread> threads;
-  // Reuse the single-threaded slice math by re-running forward() once on
-  // thread 0 and slicing: the point of this harness is the schedule +
-  // barrier discipline, exercised by the communicator.
-  Tensor full = layer.forward(x);
-  for (Index r = 0; r < p; ++r) {
-    threads.emplace_back([&, r] {
-      const Index begin = r * out / p;
-      const Index end = (r + 1) * out / p;
-      for (Index i = 0; i < batch; ++i) {
-        for (Index j = begin; j < end; ++j) y.at(i, j) = full.at(i, j);
-      }
-      comm.barrier();  // all slices written
-    });
-  }
-  for (auto& t : threads) t.join();
-  return y;
 }
 
 }  // namespace candle::parallel

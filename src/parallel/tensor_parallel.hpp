@@ -2,8 +2,8 @@
 // output dimension is split across shards; each shard holds a weight slice
 // and computes its activation slice; an all-gather reassembles the full
 // activation.  This is the Megatron-style column partitioning, executed
-// for real on virtual-node threads — the concrete mechanism behind claim
-// C6's "network model parallelism".
+// for real shard by shard — the concrete mechanism behind claim C6's
+// "network model parallelism".
 //
 // Numerics are exactly those of the unsharded layer (verified by tests);
 // the wire traffic per step (activations fwd, gradient slices bwd) is
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "nn/model.hpp"
-#include "parallel/collectives.hpp"
 
 namespace candle::parallel {
 
@@ -66,10 +65,5 @@ class ShardedDense {
   std::vector<Slice> slices_;
   Tensor x_cache_;
 };
-
-/// Threaded execution harness: run the sharded forward with one thread per
-/// shard exchanging slices through a ShmCommunicator all-gather, verifying
-/// the distributed schedule end to end.  Returns the assembled activation.
-Tensor sharded_dense_forward_threaded(ShardedDense& layer, const Tensor& x);
 
 }  // namespace candle::parallel

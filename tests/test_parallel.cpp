@@ -143,41 +143,66 @@ ModelFactory blob_model_factory(std::uint64_t seed) {
 
 TEST(DataParallel, EquivalentToSerialTraining) {
   // p replicas x shard-batch b == serial batch p*b: same weights after the
-  // same number of steps (up to fp32 reduction reassociation).
+  // same number of steps (up to fp32 reduction reassociation).  200 samples
+  // leave an 8-sample tail, whose short batch both sides skip every epoch.
+  for (const Index n : {Index{256}, Index{200}}) {
+    const Dataset d = blob_dataset(n, 31);
+    const Index p = 4, b = 16;
+
+    DataParallelOptions opts;
+    opts.replicas = p;
+    opts.batch_per_replica = b;
+    opts.epochs = 2;
+    opts.seed = 32;
+    Model dp_model;
+    train_data_parallel(
+        blob_model_factory(33), [] { return make_sgd(0.05f); }, d,
+        SoftmaxCrossEntropy(), opts, &dp_model);
+
+    // Serial reference: identical batch stream (same iterator seed).
+    Model serial = blob_model_factory(33)();
+    SoftmaxCrossEntropy xent;
+    Sgd opt(0.05f);
+    BatchIterator batches(d, p * b, /*shuffle=*/true, opts.seed);
+    const Index steps = (d.size() / (p * b)) * opts.epochs;
+    for (Index s = 0; s < steps;) {
+      const Dataset batch = batches.next();
+      if (batch.size() < p * b) continue;  // the epoch's short tail batch
+      serial.train_batch(batch.x, batch.y, xent, opt);
+      ++s;
+    }
+
+    std::vector<float> w_dp(static_cast<std::size_t>(serial.num_params()));
+    std::vector<float> w_serial(w_dp.size());
+    dp_model.copy_weights_to(w_dp);
+    serial.copy_weights_to(w_serial);
+    float max_diff = 0.0f;
+    for (std::size_t i = 0; i < w_dp.size(); ++i) {
+      max_diff = std::max(max_diff, std::abs(w_dp[i] - w_serial[i]));
+    }
+    EXPECT_LT(max_diff, 5e-4f)
+        << "data-parallel must match serial large-batch SGD (n=" << n << ")";
+  }
+}
+
+TEST(DataParallel, DivergenceThrowsNamingTheStep) {
+  // A non-finite reduced gradient with no injected corruption is divergence:
+  // the run stops with an error instead of applying the NaN update.
   const Dataset d = blob_dataset(256, 31);
-  const Index p = 4, b = 16;
-
   DataParallelOptions opts;
-  opts.replicas = p;
-  opts.batch_per_replica = b;
-  opts.epochs = 2;
+  opts.replicas = 4;
+  opts.batch_per_replica = 16;
+  opts.epochs = 4;
   opts.seed = 32;
-  Model dp_model;
-  train_data_parallel(
-      blob_model_factory(33), [] { return make_sgd(0.05f); }, d,
-      SoftmaxCrossEntropy(), opts, &dp_model);
-
-  // Serial reference: identical batch stream (same iterator seed).
-  Model serial = blob_model_factory(33)();
-  SoftmaxCrossEntropy xent;
-  Sgd opt(0.05f);
-  BatchIterator batches(d, p * b, /*shuffle=*/true, opts.seed);
-  const Index steps = (d.size() / (p * b)) * opts.epochs;
-  for (Index s = 0; s < steps; ++s) {
-    const Dataset batch = batches.next();
-    serial.train_batch(batch.x, batch.y, xent, opt);
+  try {
+    train_data_parallel(blob_model_factory(33),
+                        [] { return make_sgd(1e30f); }, d,
+                        SoftmaxCrossEntropy(), opts);
+    ADD_FAILURE() << "a diverging run must throw";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("diverged at step "), std::string::npos) << msg;
   }
-
-  std::vector<float> w_dp(static_cast<std::size_t>(serial.num_params()));
-  std::vector<float> w_serial(w_dp.size());
-  dp_model.copy_weights_to(w_dp);
-  serial.copy_weights_to(w_serial);
-  float max_diff = 0.0f;
-  for (std::size_t i = 0; i < w_dp.size(); ++i) {
-    max_diff = std::max(max_diff, std::abs(w_dp[i] - w_serial[i]));
-  }
-  EXPECT_LT(max_diff, 5e-4f)
-      << "data-parallel must match serial large-batch SGD";
 }
 
 TEST(DataParallel, LearnsTheTask) {

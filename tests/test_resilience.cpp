@@ -784,6 +784,23 @@ TEST(ResilientTraining, MeasuredOverheadTracksAnalyticModel) {
   cleanup(o);
 }
 
+TEST(ResilientTraining, DivergenceThrowsInsteadOfReplaying) {
+  // Divergence is not a fault: with no corruption injected, a non-finite
+  // reduced gradient throws at once, naming the step, instead of rolling
+  // back and replaying the same divergence until max_recoveries trips.
+  const Dataset d = blob_dataset(256, 61);
+  ResilientOptions o = base_options("diverge");
+  try {
+    train_resilient(blob_model_factory(62), [] { return make_sgd(1e30f); },
+                    d, SoftmaxCrossEntropy(), o);
+    ADD_FAILURE() << "a diverging run must throw";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("diverged at step "), std::string::npos) << msg;
+  }
+  cleanup(o);
+}
+
 TEST(ResilientTraining, RejectsUncheckpointableConfigurations) {
   const Dataset d = blob_dataset(128, 95);
   ResilientOptions o = base_options("reject");

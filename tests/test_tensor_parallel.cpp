@@ -67,16 +67,6 @@ TEST_P(ShardedDenseEquivalence, BackwardMatchesUnsharded) {
 INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardedDenseEquivalence,
                          ::testing::Values(1, 2, 3, 4, 9));
 
-TEST(ShardedDense, ThreadedScheduleMatches) {
-  auto dense = built_dense(8, 16, 5);
-  parallel::ShardedDense sharded(*dense, 4);
-  Pcg32 rng(6);
-  Tensor x = Tensor::randn({6, 8}, rng);
-  const Tensor serial = dense->forward(x, false);
-  const Tensor threaded = parallel::sharded_dense_forward_threaded(sharded, x);
-  EXPECT_LE(max_abs_diff(serial, threaded), 1e-6f);
-}
-
 TEST(ShardedDense, WireAccounting) {
   auto dense = built_dense(32, 64, 7);
   parallel::ShardedDense sharded(*dense, 4);
