@@ -35,10 +35,21 @@ IngestReader::IngestReader(SampleStore& store, const ReaderOptions& options)
       slot.shards.push_back(ReplicaShard{Tensor(xs), Tensor(ys)});
     }
   }
+  follow_from({0, 0});
   start_producer();
 }
 
-IngestReader::~IngestReader() { stop_producer(); }
+IngestReader::~IngestReader() {
+  stop_producer();
+  store_->unfollow(ticket_);
+}
+
+void IngestReader::follow_from(StreamCursor c) {
+  ticket_ = store_->follow(
+      NextUseOracle(list_.samples(), list_.global_batch(), options_.shuffle,
+                    options_.seed),
+      list_.position(c) * list_.global_batch());
+}
 
 void IngestReader::start_producer() {
   if (options_.prefetch_depth < 2) return;
@@ -59,22 +70,24 @@ void IngestReader::stop_producer() {
 void IngestReader::assemble(StepBatch& slot, StreamCursor c) {
   const Index x_elems = store_->x_elems();
   const Index y_elems = store_->y_elems();
+  const Index bpr = options_.batch_per_replica;
+  // Row i of the global batch is read at stream position first.pos + i.
   // Fan the whole step's misses out to the store's fetch threads before the
-  // row-by-row copy loop starts waiting on individual samples.
+  // row-by-row copy loop starts.
   const std::span<const Index> g = list_.global(c.epoch, c.step);
-  store_->prefetch(g);
-  for (Index r = 0; r < options_.replicas; ++r) {
-    const std::span<const Index> shard =
-        g.subspan(static_cast<std::size_t>(r * options_.batch_per_replica),
-                  static_cast<std::size_t>(options_.batch_per_replica));
-    ReplicaShard& out = slot.shards[static_cast<std::size_t>(r)];
-    for (Index j = 0; j < options_.batch_per_replica; ++j) {
-      store_->get(shard[static_cast<std::size_t>(j)],
-                  std::span<float>(out.x.data() + j * x_elems,
-                                   static_cast<std::size_t>(x_elems)),
-                  std::span<float>(out.y.data() + j * y_elems,
-                                   static_cast<std::size_t>(y_elems)));
-    }
+  const ReadAt first{ticket_, list_.position(c) * list_.global_batch()};
+  store_->prefetch(g, first);
+  // Walk from the far end, away from the fetchers: while a queued row is
+  // left, the walk fetches it rather than waiting on one a fetcher holds.
+  for (Index i = list_.global_batch() - 1; i >= 0; --i) {
+    ReplicaShard& out = slot.shards[static_cast<std::size_t>(i / bpr)];
+    const Index j = i % bpr;
+    store_->get(g[static_cast<std::size_t>(i)],
+                std::span<float>(out.x.data() + j * x_elems,
+                                 static_cast<std::size_t>(x_elems)),
+                std::span<float>(out.y.data() + j * y_elems,
+                                 static_cast<std::size_t>(y_elems)),
+                {first.ticket, first.pos + i});
   }
   slot.cursor = c;
 }
@@ -142,17 +155,23 @@ void IngestReader::release() {
 }
 
 void IngestReader::seek(StreamCursor c) {
-  stop_producer();
   {
+    // Checked before the producer stops, so a refused seek leaves the
+    // reader running.
     std::lock_guard<std::mutex> lock(mu_);
     CANDLE_CHECK(!acquired_, "seek() while a batch is held");
     CANDLE_CHECK(c.epoch >= 0 && c.step >= 0 &&
                      c.step < list_.steps_per_epoch(),
                  "seek cursor out of range");
+  }
+  stop_producer();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
     base_pos_ = list_.position(c);
     produce_seq_ = 0;
     consume_seq_ = 0;
   }
+  follow_from(c);
   start_producer();
 }
 

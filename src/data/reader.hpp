@@ -26,10 +26,23 @@
 // assembly performs no heap allocation (asserted in test_ingest via
 // workspace_stats and stable data() pointers).
 //
+// Fetching: the producer queues every row of the batch it assembles to the
+// store's fetch threads, then walks the batch from its far end.  The
+// fetchers take queued rows from the front, so until the walk meets them
+// each miss is a row no fetcher holds: the producer fetches it beside them
+// instead of sleeping on a row a fetcher holds, and fetch_threads = N
+// gives N + 1 fetch streams.  Rows land in the same slots whatever the
+// walk order, so batches stay bit-identical.
+//
+// Eviction: the reader states its read order to the store (follow() with
+// the list's NextUseOracle, then each read's stream position), so the
+// store evicts the resident sample whose next read is farthest away.
+//
 // seek() repositions the stream to an arbitrary StreamCursor in O(1) slot
-// bookkeeping (plus one permutation rebuild on next assembly) — this is
-// what lets parallel/resilient resume a checkpointed stream position
-// bit-identically without replaying prior epochs.
+// bookkeeping (plus one permutation rebuild on next assembly, and a re-key
+// of the store against the new position) — this is what lets
+// parallel/resilient resume a checkpointed stream position bit-identically
+// without replaying prior epochs.
 #pragma once
 
 #include <condition_variable>
@@ -104,10 +117,14 @@ class IngestReader {
   void producer_loop();
   void start_producer();
   void stop_producer();
+  /// Have the store follow this stream from cursor `c` on.
+  void follow_from(StreamCursor c);
 
   SampleStore* store_;
   ReaderOptions options_;
   ShardedSampleList list_;
+  // The store's ticket for this stream; written only while no producer runs.
+  std::uint64_t ticket_ = 0;
   std::vector<StepBatch> slots_;
 
   mutable std::mutex mu_;

@@ -74,4 +74,39 @@ std::span<const Index> ShardedSampleList::global(Index epoch, Index step) {
           static_cast<std::size_t>(global_batch())};
 }
 
+NextUseOracle::NextUseOracle(Index samples, Index global_batch, bool shuffle,
+                             std::uint64_t seed)
+    : samples_(samples), shuffle_(shuffle), seed_(seed) {
+  CANDLE_CHECK(global_batch >= 1, "empty global batch");
+  CANDLE_CHECK(samples >= global_batch,
+               "dataset smaller than one global batch");
+  reads_per_epoch_ = samples / global_batch * global_batch;
+}
+
+const std::vector<Index>& NextUseOracle::rank_in(Index epoch) {
+  const auto k = static_cast<std::size_t>(epoch % 2);
+  std::vector<Index>& rank = rank_[k];
+  if (rank_epoch_[k] != epoch) {
+    epoch_permutation(samples_, seed_, epoch, shuffle_, perm_);
+    rank.resize(static_cast<std::size_t>(samples_));
+    for (Index i = 0; i < samples_; ++i) {
+      rank[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)])] = i;
+    }
+    rank_epoch_[k] = epoch;
+  }
+  return rank;
+}
+
+Index NextUseOracle::next_read(Index sample, Index pos) {
+  CANDLE_CHECK(sample >= 0 && sample < samples_, "sample out of range");
+  CANDLE_CHECK(pos >= 0, "negative stream position");
+  const Index epoch = pos / reads_per_epoch_;
+  for (Index e = epoch; e <= epoch + 1; ++e) {
+    const Index row = rank_in(e)[static_cast<std::size_t>(sample)];
+    const Index at = e * reads_per_epoch_ + row;
+    if (row < reads_per_epoch_ && at >= pos) return at;
+  }
+  return kNever;
+}
+
 }  // namespace candle::data

@@ -20,7 +20,9 @@
 // counted and surfaced (dropped_tail_samples) instead of vanishing.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -106,6 +108,42 @@ class ShardedSampleList {
   std::uint64_t seed_;
   Index cached_epoch_ = -1;
   std::vector<Index> perm_;
+};
+
+/// Next-use oracle over the stream a ShardedSampleList hands out: where
+/// does sample s get read next?  A read's stream position counts samples,
+/// (epoch * steps_per_epoch + step) * global_batch + row, where row indexes
+/// the global batch.  Because the order is a pure function of (seed,
+/// epoch), the answer needs no history — only the inverses of two
+/// consecutive epoch permutations, so the horizon runs from any position to
+/// the end of the next epoch.  A sample not read within it (one that falls
+/// in the dropped tail) has no next use: kNever.  The sample store keys its
+/// entries by this to evict by Belady's MIN (store.hpp).
+///
+/// Not thread-safe: the inverse permutations are per-instance scratch.
+class NextUseOracle {
+ public:
+  static constexpr Index kNever = std::numeric_limits<Index>::max();
+
+  NextUseOracle(Index samples, Index global_batch, bool shuffle,
+                std::uint64_t seed);
+
+  /// Stream position of the first read of `sample` at or after `pos`,
+  /// searched in pos's epoch and the next; kNever if neither reads it.
+  Index next_read(Index sample, Index pos);
+
+ private:
+  /// rank[s] = s's index in epoch `epoch`'s permutation.  Epochs e and e+1
+  /// occupy different slots (e % 2), so a query never evicts its partner.
+  const std::vector<Index>& rank_in(Index epoch);
+
+  Index samples_;
+  Index reads_per_epoch_ = 0;  // steps_per_epoch * global_batch
+  bool shuffle_;
+  std::uint64_t seed_;
+  std::vector<Index> perm_;
+  std::array<std::vector<Index>, 2> rank_;
+  std::array<Index, 2> rank_epoch_{-1, -1};
 };
 
 }  // namespace candle::data

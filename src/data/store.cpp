@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "biodata/staging_io.hpp"
 #include "runtime/timer.hpp"
@@ -114,48 +115,74 @@ std::vector<float> SampleStore::take_buffer_locked() {
   return std::vector<float>(static_cast<std::size_t>(x_elems_ + y_elems_));
 }
 
-void SampleStore::insert_locked(Index sample, std::vector<float>&& payload) {
+Index SampleStore::key_locked(Index sample, ReadAt at, bool after_read) {
+  if (!order_) return -++uses_;
+  if (at.ticket != ticket_) return NextUseOracle::kNever;
+  return after_read ? order_->next_read(sample, at.pos + 1) : at.pos;
+}
+
+void SampleStore::rekey_locked(Entry& entry, Index key) {
+  if (key == entry.key->first) return;
+  // Move the index node rather than reallocating it.  A new key is mostly
+  // an extreme (LRU: the newest use; MIN: a read an epoch ahead), so hint
+  // that end of the order.
+  auto node = by_key_.extract(entry.key);
+  node.value().first = key;
+  const auto hint = !by_key_.empty() && key < by_key_.begin()->first
+                        ? by_key_.begin()
+                        : by_key_.end();
+  entry.key = by_key_.insert(hint, std::move(node));
+}
+
+void SampleStore::insert_locked(Index sample, std::vector<float>&& payload,
+                                ReadAt at, bool after_read) {
   auto [it, fresh] = cache_.try_emplace(sample);
   if (!fresh) {
     // A racing fetch already cached it; recycle our buffer.
     free_.push_back(std::move(payload));
     return;
   }
-  lru_.push_front(sample);
   it->second.xy = std::move(payload);
-  it->second.lru_it = lru_.begin();
+  it->second.key =
+      by_key_.emplace(key_locked(sample, at, after_read), sample).first;
   ++stats_.inserts;
   stats_.bytes_cached += entry_bytes_;
-  stats_.entries = cache_.size();
-  // Evict LRU entries beyond the byte budget, but never the entry just
-  // inserted (a budget below one sample still serves correctly).
+  // Evict the largest keys beyond the byte budget, keeping at least one
+  // entry (a budget below one sample still serves correctly).  An entry
+  // just read may go at once — its reader holds the copy, and under MIN
+  // its next read is often the farthest — but a prefetched one waits for
+  // its read.
   while (stats_.bytes_cached > options_.byte_budget && cache_.size() > 1) {
-    const Index victim = lru_.back();
-    lru_.pop_back();
-    auto vit = cache_.find(victim);
+    auto victim = std::prev(by_key_.end());
+    if (!after_read && victim->second == sample) --victim;
+    auto vit = cache_.find(victim->second);
     free_.push_back(std::move(vit->second.xy));
     cache_.erase(vit);
+    by_key_.erase(victim);
     ++stats_.evictions;
     stats_.bytes_cached -= entry_bytes_;
-    stats_.entries = cache_.size();
   }
+  stats_.entries = cache_.size();
 }
 
-void SampleStore::get(Index sample, std::span<float> x, std::span<float> y) {
-  CANDLE_CHECK(static_cast<Index>(x.size()) == x_elems_ &&
-                   static_cast<Index>(y.size()) == y_elems_,
-               "get buffer size mismatch");
+void SampleStore::read(Index sample, std::span<float> x, std::span<float> y,
+                       ReadAt at) {
+  const auto copy_out = [&](const float* xy) {
+    std::memcpy(x.data(), xy, x.size() * sizeof(float));
+    if (!y.empty()) {
+      std::memcpy(y.data(), xy + x_elems_, y.size() * sizeof(float));
+    }
+  };
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     auto it = cache_.find(sample);
     if (it != cache_.end()) {
       ++stats_.hits;
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      const float* src = it->second.xy.data();
-      std::memcpy(x.data(), src,
-                  static_cast<std::size_t>(x_elems_) * sizeof(float));
-      std::memcpy(y.data(), src + x_elems_,
-                  static_cast<std::size_t>(y_elems_) * sizeof(float));
+      // A read with no position in the followed order leaves the key alone.
+      if (!order_ || follows_locked(at)) {
+        rekey_locked(it->second, key_locked(sample, at, true));
+      }
+      copy_out(it->second.xy.data());
       return;
     }
     if (in_flight_.count(sample) != 0) {
@@ -163,7 +190,10 @@ void SampleStore::get(Index sample, std::span<float> x, std::span<float> y) {
       done_cv_.wait(lock);
       continue;
     }
+    // Fetch it here, and off the queue: under MIN this read's entry may be
+    // evicted at once, and a fetcher would then fetch it again.
     ++stats_.misses;
+    queued_.erase(sample);
     in_flight_.insert(sample);
     std::vector<float> buf = take_buffer_locked();
     lock.unlock();
@@ -171,16 +201,21 @@ void SampleStore::get(Index sample, std::span<float> x, std::span<float> y) {
                                             static_cast<std::size_t>(x_elems_)),
                    std::span<float>(buf.data() + x_elems_,
                                     static_cast<std::size_t>(y_elems_)));
-    std::memcpy(x.data(), buf.data(),
-                static_cast<std::size_t>(x_elems_) * sizeof(float));
-    std::memcpy(y.data(), buf.data() + x_elems_,
-                static_cast<std::size_t>(y_elems_) * sizeof(float));
+    copy_out(buf.data());
     lock.lock();
-    insert_locked(sample, std::move(buf));
+    insert_locked(sample, std::move(buf), at, /*after_read=*/true);
     in_flight_.erase(sample);
     done_cv_.notify_all();
     return;
   }
+}
+
+void SampleStore::get(Index sample, std::span<float> x, std::span<float> y,
+                      ReadAt at) {
+  CANDLE_CHECK(static_cast<Index>(x.size()) == x_elems_ &&
+                   static_cast<Index>(y.size()) == y_elems_,
+               "get buffer size mismatch");
+  read(sample, x, y, at);
 }
 
 void SampleStore::get_x(Index sample, std::span<float> x) {
@@ -188,54 +223,49 @@ void SampleStore::get_x(Index sample, std::span<float> x) {
   // A miss still fetches the full sample (sources produce whole rows).
   CANDLE_CHECK(static_cast<Index>(x.size()) == x_elems_,
                "get_x buffer size mismatch");
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    auto it = cache_.find(sample);
-    if (it != cache_.end()) {
-      ++stats_.hits;
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      std::memcpy(x.data(), it->second.xy.data(),
-                  static_cast<std::size_t>(x_elems_) * sizeof(float));
-      return;
-    }
-    if (in_flight_.count(sample) != 0) {
-      done_cv_.wait(lock);
-      continue;
-    }
-    ++stats_.misses;
-    in_flight_.insert(sample);
-    std::vector<float> buf = take_buffer_locked();
-    lock.unlock();
-    source_->fetch(sample, std::span<float>(buf.data(),
-                                            static_cast<std::size_t>(x_elems_)),
-                   std::span<float>(buf.data() + x_elems_,
-                                    static_cast<std::size_t>(y_elems_)));
-    std::memcpy(x.data(), buf.data(),
-                static_cast<std::size_t>(x_elems_) * sizeof(float));
-    lock.lock();
-    insert_locked(sample, std::move(buf));
-    in_flight_.erase(sample);
-    done_cv_.notify_all();
-    return;
-  }
+  read(sample, x, {}, {});
 }
 
-void SampleStore::prefetch(std::span<const Index> samples) {
-  if (fetchers_.empty()) return;  // synchronous configuration
+void SampleStore::prefetch(std::span<const Index> samples, ReadAt first) {
   bool queued_any = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const Index s : samples) {
-      if (cache_.count(s) != 0 || in_flight_.count(s) != 0 ||
-          queued_.count(s) != 0) {
+    const bool keyed = follows_locked(first);
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      const Index s = samples[i];
+      const ReadAt at{first.ticket, first.pos + static_cast<Index>(i)};
+      const auto it = cache_.find(s);
+      if (it != cache_.end()) {
+        if (keyed) rekey_locked(it->second, at.pos);
         continue;
       }
-      queued_.insert(s);
+      if (fetchers_.empty() || in_flight_.count(s) != 0 ||
+          !queued_.try_emplace(s, at).second) {
+        continue;
+      }
       queue_.push_back(s);
       queued_any = true;
     }
   }
   if (queued_any) work_cv_.notify_all();
+}
+
+std::uint64_t SampleStore::follow(NextUseOracle order, Index pos) {
+  std::lock_guard<std::mutex> lock(mu_);
+  order_.emplace(std::move(order));
+  ++ticket_;
+  // Keys of the old order (or LRU ages) mean nothing in the new one: an
+  // entry left keyed at a read that has passed would never be evicted.
+  by_key_.clear();
+  for (auto& [sample, entry] : cache_) {
+    entry.key = by_key_.emplace(order_->next_read(sample, pos), sample).first;
+  }
+  return ticket_;
+}
+
+void SampleStore::unfollow(std::uint64_t ticket) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (ticket == ticket_) order_.reset();
 }
 
 void SampleStore::fetcher_loop() {
@@ -245,10 +275,15 @@ void SampleStore::fetcher_loop() {
     if (stop_) return;
     const Index sample = queue_.front();
     queue_.pop_front();
-    queued_.erase(sample);
-    if (cache_.count(sample) != 0 || in_flight_.count(sample) != 0) {
-      continue;  // raced with a get() or another fetcher
+    const auto q = queued_.find(sample);
+    if (q == queued_.end()) {
+      // A caller fetched it inline.  No fetch completes here, so wake a
+      // drain() that waits only on this pop.
+      if (queue_.empty()) done_cv_.notify_all();
+      continue;
     }
+    const ReadAt at = q->second;
+    queued_.erase(q);
     in_flight_.insert(sample);
     std::vector<float> buf = take_buffer_locked();
     lock.unlock();
@@ -258,7 +293,7 @@ void SampleStore::fetcher_loop() {
                                     static_cast<std::size_t>(y_elems_)));
     lock.lock();
     ++stats_.prefetched;
-    insert_locked(sample, std::move(buf));
+    insert_locked(sample, std::move(buf), at, /*after_read=*/false);
     in_flight_.erase(sample);
     done_cv_.notify_all();
   }

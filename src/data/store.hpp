@@ -5,17 +5,28 @@
 //
 // Sources can be expensive per sample (generation, decompression,
 // augmentation, a disk seek); the store hides that cost two ways:
-//   * caching — a fetched sample stays resident until LRU eviction pushes
-//     it out of the byte budget, so hot samples (every epoch re-visits the
-//     whole set; serving re-scores hot ids) cost one fetch ever;
+//   * caching — a fetched sample stays resident until eviction pushes it
+//     out of the byte budget.  Eviction takes the entry with the largest
+//     key, and the key depends on what the caller knows.  A training
+//     reader knows its whole read order (the (seed, epoch)-pure stream of
+//     sample_list) and states it through follow() and positioned reads:
+//     each entry is keyed by its next read under the NextUseOracle, so the
+//     sample needed farthest ahead goes first — Belady's MIN, as in Dryden
+//     et al., "Clairvoyant Prefetching for Distributed Machine Learning
+//     I/O" (SC'21).  A synchronous cyclic scan over n samples with room
+//     for C then fetches n + (E - 1)(n - C) times in E epochs, where LRU
+//     fetches on every read.  Callers that state no order (serving's id
+//     lookups) get LRU: the key is the age of the last use;
 //   * background fetchers — prefetch() queues upcoming indices to a small
 //     fetch-thread pool, so misses resolve concurrently with the caller's
-//     own assembly work instead of serializing in front of it.
+//     own assembly work instead of serializing in front of it.  A caller
+//     that misses on a queued sample fetches it itself and takes it off the
+//     queue, so no fetcher fetches it a second time.
 //
 // Steady-state allocation freedom: every cache entry for one source has the
 // same payload size (x_elems + y_elems floats), so evicted buffers park on
 // a freelist and are reused verbatim by the next insert — once warm, the
-// store performs zero heap allocations even while evicting.
+// store allocates no payload even while evicting.
 //
 // Thread-safety: every public method may be called from any thread.  The
 // store never hands out internal pointers; get() copies into caller
@@ -25,8 +36,9 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <list>
 #include <mutex>
+#include <optional>
+#include <set>
 #include <span>
 #include <string>
 #include <thread>
@@ -34,6 +46,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "data/sample_list.hpp"
 #include "nn/dataset.hpp"
 
 namespace candle::data {
@@ -120,6 +133,16 @@ struct SampleStoreStats {
   std::size_t entries = 0;       ///< current resident entry count
 };
 
+/// Where a read falls in the read order its caller follows (see
+/// SampleStore::follow).  The default states no position.
+struct ReadAt {
+  /// follow()'s ticket for the order.  0, or a ticket a later follow()
+  /// retired, states no position.
+  std::uint64_t ticket = 0;
+  /// Stream position of the read, in NextUseOracle's units.
+  Index pos = 0;
+};
+
 class SampleStore {
  public:
   SampleStore(SampleSource& source, const SampleStoreOptions& options);
@@ -134,15 +157,33 @@ class SampleStore {
   /// Copy sample `sample` into the caller's buffers: cache hit copies under
   /// the lock; a miss fetches through the source (waiting instead if a
   /// background fetcher already has it in flight) and caches the result.
-  void get(Index sample, std::span<float> x, std::span<float> y);
+  /// A read `at` a position of the followed order re-keys the entry to the
+  /// sample's next read after it.
+  void get(Index sample, std::span<float> x, std::span<float> y,
+           ReadAt at = {});
 
   /// Features only (the serving feature-fetch path; targets stay cached).
   void get_x(Index sample, std::span<float> x);
 
   /// Queue upcoming samples for the background fetchers.  Already-cached,
-  /// in-flight, and already-queued indices are skipped.  No-op when
-  /// fetch_threads == 0.
-  void prefetch(std::span<const Index> samples);
+  /// in-flight, and already-queued indices are skipped; nothing is queued
+  /// when fetch_threads == 0.  Positioned (samples[i] is read at
+  /// first.pos + i), every listed sample waits keyed at its read, so it is
+  /// evicted last — resident ones included.
+  void prefetch(std::span<const Index> samples, ReadAt first = {});
+
+  /// Evict by next use under `order` from now on (Belady's MIN), with every
+  /// resident entry re-keyed against stream position `pos` — a reader calls
+  /// this when it starts and when it seeks.  Returns the order's ticket for
+  /// positioned get()/prefetch() calls and retires the previous one: a
+  /// retired ticket's reads leave keys alone and insert with no next use,
+  /// so a replaced reader still finishing a batch keys nothing against the
+  /// new order.
+  std::uint64_t follow(NextUseOracle order, Index pos);
+
+  /// Back to LRU if `ticket` is still the followed order (its reader is
+  /// gone, so its keys will never be read).
+  void unfollow(std::uint64_t ticket);
 
   /// Block until the prefetch queue and all in-flight fetches drain.
   void drain();
@@ -150,15 +191,29 @@ class SampleStore {
   SampleStoreStats stats() const;
 
  private:
+  // (key, sample) of every entry; eviction takes the largest.
+  using KeyIndex = std::set<std::pair<Index, Index>>;
   struct Entry {
     std::vector<float> xy;  // x_elems then y_elems floats
-    std::list<Index>::iterator lru_it;
+    KeyIndex::iterator key;  // this entry's element of by_key_
   };
 
   void fetcher_loop();
-  /// Insert `payload` (moved) as `sample`'s entry and evict down to the
-  /// byte budget.  Caller holds `mu_`.
-  void insert_locked(Index sample, std::vector<float>&& payload);
+  /// get()/get_x(): lookup, wait or fetch, then copy out (an empty `y`
+  /// copies features only).
+  void read(Index sample, std::span<float> x, std::span<float> y, ReadAt at);
+  bool follows_locked(ReadAt at) const {
+    return order_.has_value() && at.ticket == ticket_;
+  }
+  /// Key for `sample` after a read at `at` (after_read) or while it waits
+  /// for that read: the next read under the followed order; kNever for a
+  /// read with no position in it; the use count, negated, under LRU.
+  Index key_locked(Index sample, ReadAt at, bool after_read);
+  void rekey_locked(Entry& entry, Index key);
+  /// Insert `payload` (moved) as `sample`'s entry, keyed as key_locked()
+  /// says, and evict down to the byte budget.  Caller holds `mu_`.
+  void insert_locked(Index sample, std::vector<float>&& payload, ReadAt at,
+                     bool after_read);
   std::vector<float> take_buffer_locked();
 
   SampleSource* source_;
@@ -170,9 +225,14 @@ class SampleStore {
   std::condition_variable work_cv_;   // fetchers: queue non-empty or stop
   std::condition_variable done_cv_;   // waiters: fetch completed / drained
   std::unordered_map<Index, Entry> cache_;
-  std::list<Index> lru_;              // front = most recently used
+  KeyIndex by_key_;
+  Index uses_ = 0;                            // LRU clock
+  std::optional<NextUseOracle> order_;        // the followed read order
+  std::uint64_t ticket_ = 0;                  // its ticket
   std::unordered_set<Index> in_flight_;
-  std::unordered_set<Index> queued_;
+  // Queued samples and where they will be read.  queue_ keeps FIFO order;
+  // an id no longer in queued_ was fetched inline and is skipped.
+  std::unordered_map<Index, ReadAt> queued_;
   std::deque<Index> queue_;
   std::vector<std::vector<float>> free_;  // evicted payload buffers
   SampleStoreStats stats_;

@@ -45,9 +45,12 @@ struct IngestOptions {
   /// Batch slots assembled ahead (1 = synchronous assembly, no producer
   /// thread — the baseline bench_e13 compares against).
   Index prefetch_depth = 2;
-  /// Background store fetch threads (0 = every miss resolves inline).
+  /// Background store fetch threads (0 = every miss resolves inline).  The
+  /// reader's producer fetches beside them, so N threads give N + 1 fetch
+  /// streams while a batch is assembled ahead (prefetch_depth >= 2).
   Index fetch_threads = 1;
-  /// Sample-store cache budget in bytes.
+  /// Sample-store cache budget in bytes.  The store evicts the sample whose
+  /// next read in the (known) training order is farthest away.
   std::size_t store_byte_budget = std::size_t{64} << 20;
   /// Per-sample busy-spin modeling an expensive generator/decompressor
   /// (benchmarking hook; 0 for real workloads).

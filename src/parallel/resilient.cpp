@@ -806,7 +806,10 @@ ResilientResult run_step_loop(const ModelFactory& factory,
       const std::vector<Index> alive = comm->alive_ranks();
       {
         std::string dead;
-        for (Index r : comm->failed_ranks()) dead += " " + std::to_string(r);
+        for (Index r : comm->failed_ranks()) {
+          dead += ' ';
+          dead += std::to_string(r);
+        }
         injector.record(committed, -1, FaultKind::ReplicaCrash, "detected",
                         dead.empty() ? "replica death (no survivors to attribute)"
                                      : "dead ranks:" + dead);

@@ -1,7 +1,9 @@
 // Parallel data ingestion (src/data): (seed, epoch)-pure permutations and
 // shard tiling, the concurrent bounded sample store (hit/miss/eviction
-// accounting, fetch-once under concurrency, background prefetch), the
-// double-buffered reader's bit-identity across prefetch depths / fetch
+// accounting, fetch-once under concurrency, background prefetch), next-use
+// eviction under the reader's known order (the oracle, MIN's fetch count,
+// re-keying on seek and rebuild, the producer fetching beside its fetcher),
+// the double-buffered reader's bit-identity across prefetch depths / fetch
 // threads / seek-resume, the legacy path's allocation-free persistent
 // batch buffers, v3 checkpoint cursor round-trips, ingest-enabled
 // data-parallel and resilient training determinism (including crash/restart
@@ -11,8 +13,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <map>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -456,6 +461,250 @@ TEST(IngestReader, GuardsAcquireReleaseDiscipline) {
   (void)reader.acquire();
   EXPECT_THROW(reader.acquire(), std::runtime_error);
   EXPECT_THROW(reader.seek({0, 0}), std::runtime_error);
+  reader.release();
+}
+
+TEST(IngestReader, RefusedSeekLeavesTheProducerRunning) {
+  const Dataset d = blob_dataset(32, 12);
+  data::DatasetSource src(d);
+  data::SampleStore store(src, data::SampleStoreOptions{});
+  data::ReaderOptions ro;
+  ro.replicas = 1;
+  ro.batch_per_replica = 8;
+  ro.prefetch_depth = 2;
+  data::IngestReader reader(store, ro);
+  (void)reader.acquire();
+  EXPECT_THROW(reader.seek({0, 0}), std::runtime_error);
+  reader.release();
+  // Without a producer this acquire() would block forever.
+  EXPECT_EQ(reader.acquire().cursor, (data::StreamCursor{0, 1}));
+  reader.release();
+}
+
+// ---- clairvoyant eviction: next use under the known read order --------------
+
+/// The read stream of `epochs` epochs: stream[pos] = sample read at pos.
+std::vector<Index> stream_of(data::ShardedSampleList& list, Index epochs) {
+  std::vector<Index> stream;
+  for (Index e = 0; e < epochs; ++e) {
+    for (Index s = 0; s < list.steps_per_epoch(); ++s) {
+      const std::span<const Index> g = list.global(e, s);
+      stream.insert(stream.end(), g.begin(), g.end());
+    }
+  }
+  return stream;
+}
+
+TEST(NextUseOracle, MatchesABruteForceScanAcrossTheEpochBoundary) {
+  // 23 samples at global batch 10: 2 steps per epoch and a 3-sample tail.
+  const Index n = 23;
+  data::ShardedSampleList list(n, 2, 5, true, 77);
+  const Index per_epoch = list.steps_per_epoch() * list.global_batch();
+  ASSERT_EQ(per_epoch, 20);
+  const std::vector<Index> stream = stream_of(list, 4);
+  data::NextUseOracle oracle(n, list.global_batch(), true, 77);
+  Index never = 0;
+  // Descending positions also walk the oracle's epoch cache backward.
+  for (Index pos = 3 * per_epoch - 1; pos >= 0; --pos) {
+    const Index horizon = (pos / per_epoch + 2) * per_epoch;
+    for (Index s = 0; s < n; ++s) {
+      Index want = data::NextUseOracle::kNever;
+      for (Index p = pos; p < horizon; ++p) {
+        if (stream[static_cast<std::size_t>(p)] == s) {
+          want = p;
+          break;
+        }
+      }
+      never += want == data::NextUseOracle::kNever ? 1 : 0;
+      ASSERT_EQ(oracle.next_read(s, pos), want)
+          << "sample " << s << " at position " << pos;
+    }
+  }
+  EXPECT_GT(never, 0) << "the dropped tail must yield samples with no next use";
+}
+
+/// Fetches from the source (inline misses plus background prefetches) over
+/// `epochs` epochs of an unshuffled scan of `n` samples with room for
+/// `entries` of them.
+std::uint64_t cyclic_scan_fetches(Index n, Index entries, Index epochs,
+                                  Index depth, Index threads) {
+  const Dataset d = blob_dataset(n, 41);
+  data::DatasetSource src(d);
+  data::SampleStoreOptions so;
+  so.fetch_threads = threads;
+  so.byte_budget = static_cast<std::size_t>(entries) * sizeof(float) * 7;
+  data::SampleStore store(src, so);
+  {
+    data::ReaderOptions ro;
+    ro.replicas = 2;
+    ro.batch_per_replica = 4;
+    ro.shuffle = false;
+    ro.prefetch_depth = depth;
+    data::IngestReader reader(store, ro);
+    for (Index s = 0; s < reader.steps_per_epoch() * epochs; ++s) {
+      (void)reader.acquire();
+      reader.release();
+    }
+  }
+  const data::SampleStoreStats st = store.stats();
+  return st.misses + st.prefetched;
+}
+
+TEST(ClairvoyantStore, CyclicScanFetchesWhatMinFetches) {
+  // LRU fetches every read of a cyclic scan over more than it holds
+  // (n * epochs = 256).  MIN keeps C samples across each epoch boundary.
+  const Index n = 64, c = 24, epochs = 4;
+  const auto want = static_cast<std::uint64_t>(n + (epochs - 1) * (n - c));
+  const auto reads = static_cast<std::uint64_t>(n * epochs);
+  EXPECT_EQ(cyclic_scan_fetches(n, c, epochs, /*depth=*/1, /*threads=*/0),
+            want);
+  // With a fetcher, rows waiting in the batch being assembled hold slots,
+  // so a few kept samples may give way: no fewer fetches than MIN, and
+  // still fewer than reads.  A row the producer fetches inline must leave
+  // the queue, or the fetcher fetches it again once MIN has evicted it —
+  // more fetches than reads.
+  const std::uint64_t prefetching =
+      cyclic_scan_fetches(n, c, epochs, /*depth=*/2, /*threads=*/1);
+  EXPECT_GE(prefetching, want);
+  EXPECT_LT(prefetching, reads);
+}
+
+/// Reference Belady's MIN over a stream with known sample order, keyed the
+/// way the store keys it: by the stream position of the next read, largest
+/// (then largest sample) evicted first, the sample just read included.
+class MinModel {
+ public:
+  explicit MinModel(Index capacity) : capacity_(capacity) {}
+
+  /// Follow `stream` (stream[pos] = sample read at pos) from `pos` on.
+  void follow(std::vector<Index> stream, Index pos) {
+    stream_ = std::move(stream);
+    for (auto& [sample, key] : key_) key = next_use(sample, pos);
+  }
+  /// One read at `pos`; counts a fetch on a miss.
+  void read(Index pos) {
+    const Index s = stream_[static_cast<std::size_t>(pos)];
+    if (key_.count(s) == 0) ++fetches;
+    key_[s] = next_use(s, pos + 1);
+    if (static_cast<Index>(key_.size()) > capacity_) {
+      std::pair<Index, Index> victim{-1, -1};
+      for (const auto& [sample, key] : key_) {
+        victim = std::max(victim, {key, sample});
+      }
+      key_.erase(victim.second);
+    }
+  }
+  std::uint64_t fetches = 0;
+
+ private:
+  Index next_use(Index sample, Index pos) const {
+    for (Index p = pos; p < static_cast<Index>(stream_.size()); ++p) {
+      if (stream_[static_cast<std::size_t>(p)] == sample) return p;
+    }
+    return data::NextUseOracle::kNever;
+  }
+  Index capacity_;
+  std::vector<Index> stream_;
+  std::map<Index, Index> key_;  // resident sample -> key
+};
+
+/// Model reads of `steps` steps from `first_step` on, in the reader's order
+/// (each batch from its far end).
+void model_steps(MinModel& model, Index global_batch, Index first_step,
+                 Index steps) {
+  for (Index step = first_step; step < first_step + steps; ++step) {
+    for (Index i = global_batch - 1; i >= 0; --i) {
+      model.read(step * global_batch + i);
+    }
+  }
+}
+
+TEST(ClairvoyantStore, SeekAndRebuildReKeyToTheNewStreamPosition) {
+  // 96 samples at global batch 8 (no tail), room for 40: the warm store
+  // holds entries keyed at reads in epochs 2 and 3 when the stream jumps.
+  const Index n = 96, gb = 8, c = 40, spe = n / gb;
+  const Dataset d = blob_dataset(n, 43);
+  CountingSource src(d);
+  data::SampleStoreOptions so;
+  so.fetch_threads = 0;
+  so.byte_budget = static_cast<std::size_t>(c) * sizeof(float) * 7;
+  data::SampleStore store(src, so);
+  data::ReaderOptions ro;
+  ro.replicas = 2;
+  ro.batch_per_replica = gb / 2;
+  ro.seed = 5;
+  ro.prefetch_depth = 1;
+  auto run = [](data::IngestReader& r, Index steps) {
+    for (Index s = 0; s < steps; ++s) {
+      (void)r.acquire();
+      r.release();
+    }
+  };
+
+  // Model streams run one epoch past the reads, as the store's horizon does.
+  data::ShardedSampleList list_a(n, 2, gb / 2, true, 5);
+  MinModel model(c);
+  model.follow(stream_of(list_a, 5), 0);
+  auto reader = std::make_unique<data::IngestReader>(store, ro);
+  run(*reader, 2 * spe + 3);  // warm: into epoch 2
+  model_steps(model, gb, 0, 2 * spe + 3);
+  ASSERT_EQ(src.fetches.load(), model.fetches);
+
+  // Seek back, as a checkpoint restore does, and read on to the end of
+  // epoch 3.  Resident keys point past reads the stream now repeats: left
+  // alone, MIN would evict the samples it is about to read.
+  reader->seek({1, 2});
+  model.follow(stream_of(list_a, 5), (spe + 2) * gb);
+  run(*reader, 3 * spe - 2);
+  model_steps(model, gb, spe + 2, 3 * spe - 2);
+  EXPECT_EQ(src.fetches.load(), model.fetches) << "after seek()";
+
+  // Rebuild on the same store with a new seed, as an elastic shrink does:
+  // the new reader exists before the old one is destroyed.
+  ro.seed = 6;
+  auto rebuilt = std::make_unique<data::IngestReader>(store, ro);
+  reader.reset();
+  data::ShardedSampleList list_b(n, 2, gb / 2, true, 6);
+  model.follow(stream_of(list_b, 3), 0);
+  run(*rebuilt, 2 * spe);
+  model_steps(model, gb, 0, 2 * spe);
+  EXPECT_EQ(src.fetches.load(), model.fetches) << "after a rebuild";
+}
+
+/// Source whose fetch sleeps: a priced fetch that leaves the CPU free, so
+/// the producer and the fetcher can run side by side on any host.
+class SleepSource final : public data::SampleSource {
+ public:
+  explicit SleepSource(const Dataset& d) : inner_(d) {}
+  Index size() const override { return inner_.size(); }
+  Shape x_sample_shape() const override { return inner_.x_sample_shape(); }
+  Shape y_sample_shape() const override { return inner_.y_sample_shape(); }
+  void fetch(Index sample, std::span<float> x, std::span<float> y) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    inner_.fetch(sample, x, y);
+  }
+
+ private:
+  data::DatasetSource inner_;
+};
+
+TEST(IngestReader, ProducerFetchesBesideItsFetcher) {
+  // One cold 64-row batch and one fetcher.  Walking from the far end, the
+  // producer fetches rows until it meets the fetcher (about half of them);
+  // walking from the front it would sleep on the row the fetcher holds.
+  const Dataset d = blob_dataset(64, 47);
+  SleepSource src(d);
+  data::SampleStoreOptions so;
+  so.fetch_threads = 1;
+  data::SampleStore store(src, so);
+  data::ReaderOptions ro;
+  ro.replicas = 2;
+  ro.batch_per_replica = 32;
+  ro.prefetch_depth = 2;
+  data::IngestReader reader(store, ro);
+  (void)reader.acquire();
+  EXPECT_GE(store.stats().misses, 16u)
+      << "the producer's inline fetches of the first batch";
   reader.release();
 }
 
