@@ -257,7 +257,7 @@ bench::RunResult run_serving_capacity(const bench::RunContext& ctx) {
   policy.max_wait_s = 1e-3;
   policy.queue_capacity = 128;
 
-  // Median full-batch infer() at deployment concurrency (contention is part
+  // Median full-batch plan run at deployment concurrency (contention is part
   // of the service time).
   const double service_s = bench::measure_batch_service_s(
       m, policy.max_batch, kWorkers, ctx.smoke ? 3 : 5);
@@ -329,7 +329,7 @@ bench::RunResult run_serving_continuous(const bench::RunContext& ctx) {
   policy.max_wait_s = 2e-3;  // the fill window coalescing pays at low load
   policy.queue_capacity = 128;
 
-  // Median full-batch infer() at deployment concurrency, as in
+  // Median full-batch plan run at deployment concurrency, as in
   // serving_capacity: contention is part of the service time.
   const double service_s = bench::measure_batch_service_s(
       m, policy.max_batch, kWorkers, ctx.smoke ? 3 : 5);

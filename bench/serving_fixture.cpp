@@ -5,6 +5,7 @@
 #include <future>
 #include <thread>
 
+#include "nn/plan.hpp"
 #include "runtime/rng.hpp"
 
 namespace candle::bench {
@@ -13,6 +14,7 @@ using Clock = std::chrono::steady_clock;
 
 double measure_batch_service_s(const Model& m, Index max_batch, Index workers,
                                int reps) {
+  const InferencePlan plan(m, max_batch);
   Shape shape = m.input_shape();
   shape.insert(shape.begin(), max_batch);
   Tensor batch(std::move(shape));
@@ -23,9 +25,10 @@ double measure_batch_service_s(const Model& m, Index max_batch, Index workers,
   std::vector<std::thread> threads;
   for (Index w = 0; w < workers; ++w) {
     threads.emplace_back([&, w] {
+      InferencePlan::Scratch scratch = plan.make_scratch();
       for (int r = 0; r < reps + 1; ++r) {  // first rep warms pools/arenas
         const auto t0 = Clock::now();
-        const Tensor y = m.infer(batch);
+        (void)plan.run(batch, scratch);
         const auto t1 = Clock::now();
         if (r > 0) {
           per_thread[static_cast<std::size_t>(w)].push_back(

@@ -12,14 +12,15 @@
 
 namespace candle::bench {
 
-/// Median wall time of one full `max_batch`-row infer() measured at
-/// deployment concurrency — `workers` threads running infer simultaneously,
-/// exactly as the engine will.  A single-stream measurement would overstate
+/// Median wall time of one full `max_batch`-row run of the engine's
+/// InferencePlan, measured at deployment concurrency — `workers` threads
+/// running it simultaneously, each on its own scratch, exactly as the
+/// engine's workers do.  A single-stream measurement would overstate
 /// capacity: concurrent workers contend for the kernel thread pool, and the
 /// per-batch service time under contention is what the admission controller
 /// and the capacity model actually see.  The serving counterpart of
 /// calibrate_host: measure once, project the sweep.  Each thread times
-/// `reps` infers after one untimed warm-up (pools, arenas).
+/// `reps` runs after one untimed warm-up (pools, arenas).
 double measure_batch_service_s(const Model& m, Index max_batch, Index workers,
                                int reps);
 

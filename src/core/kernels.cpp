@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 
 #include "runtime/thread_pool.hpp"
 #include "runtime/workspace.hpp"
@@ -43,6 +44,11 @@ constexpr Index kMC = 128;
 constexpr Index kKC = 256;
 constexpr Index kNC = 4096;
 static_assert(kMC % kMR == 0, "kMC must be a multiple of the register tile");
+static_assert(kNC % kNR == 0, "kNC must be a multiple of the register tile");
+// Every pool lane reserves this much arena when it starts, so the A block a
+// lane packs never grows its arena on first use (runtime/workspace.hpp).
+static_assert(kMC * kKC * sizeof(float) <= kLaneWorkspaceBytes,
+              "the packed A block must fit in a lane's reserved workspace");
 
 Index round_up(Index v, Index to) { return (v + to - 1) / to * to; }
 
@@ -187,17 +193,22 @@ void pack_b(const Src& src, Index p0, Index kc, Index j0, Index nc, Round rnd,
 // The register-blocked core: acc[MR][NR] += sum_p ap[p][:] (x) bp[p][:].
 // ap already carries alpha.  With CANDLE_SIMD this compiles to a
 // broadcast-FMA sequence that keeps the whole accumulator tile in vector
-// registers for the entire k loop.
+// registers for the entire k loop.  Packed A strips are always kMR rows
+// wide; MR < kMR runs the kernel over only the first MR rows of a strip
+// (a short strip's tail rows are zero-filled), so every element still
+// accumulates the same sequence of products and the result does not depend
+// on which MR computed it.
+template <int MR>
 inline void micro_compute(Index kc, const float* ap, const float* bp,
-                          float (&acc)[kMR][kNR]) {
-  for (int i = 0; i < kMR; ++i) {
+                          float (&acc)[MR][kNR]) {
+  for (int i = 0; i < MR; ++i) {
     CANDLE_SIMD
     for (int j = 0; j < kNR; ++j) acc[i][j] = 0.0f;
   }
   for (Index p = 0; p < kc; ++p) {
     const float* b = bp + p * kNR;
     const float* a = ap + p * kMR;
-    for (int i = 0; i < kMR; ++i) {
+    for (int i = 0; i < MR; ++i) {
       const float av = a[i];
       CANDLE_SIMD
       for (int j = 0; j < kNR; ++j) acc[i][j] += av * b[j];
@@ -231,11 +242,12 @@ inline float epilogue_apply(float v, const Epilogue& ep, Index row,
 // C-write of a full register tile.  `first` applies beta (beta == 0 never
 // reads C, so garbage/NaN in the output buffer is overwritten); `last`
 // applies the fused epilogue after the final k-block accumulates.
-void micro_store(const float (&acc)[kMR][kNR], float* c, Index ldc,
+template <int MR>
+void micro_store(const float (&acc)[MR][kNR], float* c, Index ldc,
                  float beta, bool first, bool last, const Epilogue& ep,
                  Index row0, Index col0) {
   const bool fuse = last && !ep.empty();
-  for (int i = 0; i < kMR; ++i) {
+  for (int i = 0; i < MR; ++i) {
     float* crow = c + i * ldc;
     float vals[kNR];
     if (first) {
@@ -290,11 +302,12 @@ void micro_store(const float (&acc)[kMR][kNR], float* c, Index ldc,
 
 // C-write of a partial tile at the m/n edges (same scalar op sequence as the
 // full-tile store, so edge elements remain bit-identical to it).
-void micro_store_edge(const float (&acc)[kMR][kNR], Index mr, Index nr,
+template <int MR>
+void micro_store_edge(const float (&acc)[MR][kNR], Index mr, Index nr,
                       float* c, Index ldc, float beta, bool first, bool last,
                       const Epilogue& ep, Index row0, Index col0) {
   const bool fuse = last && !ep.empty();
-  for (Index i = 0; i < mr; ++i) {
+  for (Index i = 0; i < std::min<Index>(mr, MR); ++i) {
     float* crow = c + i * ldc;
     for (Index j = 0; j < nr; ++j) {
       float v = acc[i][j];
@@ -324,6 +337,23 @@ struct PanelCtx {
   const Epilogue* ep;
 };
 
+// One register tile of C, rows [row0, row0 + mr) x columns [col0, col0 + nr),
+// computed by the MR-row kernel (mr <= MR).
+template <int MR>
+void compute_tile(const PanelCtx& ctx, const float* ap, const float* bp,
+                  Index mr, Index nr, Index row0, Index col0) {
+  float acc[MR][kNR];
+  micro_compute<MR>(ctx.kc, ap, bp, acc);
+  float* ct = ctx.c + row0 * ctx.ldc + col0;
+  if (mr == MR && nr == kNR) {
+    micro_store<MR>(acc, ct, ctx.ldc, ctx.beta, ctx.first, ctx.last, *ctx.ep,
+                    row0, col0);
+  } else {
+    micro_store_edge<MR>(acc, mr, nr, ct, ctx.ldc, ctx.beta, ctx.first,
+                         ctx.last, *ctx.ep, row0, col0);
+  }
+}
+
 // Process micro-panel strips [s0, s1): pack the corresponding A rows into
 // this thread's arena (kMC rows at a time, preserving L2 blocking even when
 // a chunk is larger) and run the micro-kernel across the B panel.
@@ -345,15 +375,21 @@ void compute_strips(const PanelCtx& ctx, Round rnd, Index s0, Index s1) {
       for (Index s = sb; s < sb_end; ++s) {
         const Index ir = (s - sb) * kMR;
         const Index mr = std::min<Index>(kMR, ctx.m - (r0 + ir));
-        float acc[kMR][kNR];
-        micro_compute(ctx.kc, apack + ir * ctx.kc, bp, acc);
-        float* ct = ctx.c + (r0 + ir) * ctx.ldc + ctx.jc + jr;
-        if (mr == kMR && nr == kNR) {
-          micro_store(acc, ct, ctx.ldc, ctx.beta, ctx.first, ctx.last,
-                      *ctx.ep, r0 + ir, ctx.jc + jr);
+        const float* ap = apack + ir * ctx.kc;
+        const Index row0 = r0 + ir;
+        const Index col0 = ctx.jc + jr;
+        // A short strip (only C's last one can be short) runs the smallest
+        // kernel that covers its live rows.
+        if (mr == kMR) {
+          compute_tile<kMR>(ctx, ap, bp, mr, nr, row0, col0);
+        } else if (mr == 1) {
+          compute_tile<1>(ctx, ap, bp, mr, nr, row0, col0);
+        } else if (mr == 2) {
+          compute_tile<2>(ctx, ap, bp, mr, nr, row0, col0);
+        } else if (mr <= 4) {
+          compute_tile<4>(ctx, ap, bp, mr, nr, row0, col0);
         } else {
-          micro_store_edge(acc, mr, nr, ct, ctx.ldc, ctx.beta, ctx.first,
-                           ctx.last, *ctx.ep, r0 + ir, ctx.jc + jr);
+          compute_tile<kMR>(ctx, ap, bp, mr, nr, row0, col0);
         }
       }
     }
@@ -374,28 +410,53 @@ void scale_epilogue_c(Index m, Index n, float beta, float* c, Index ldc,
   }
 }
 
-// The BLIS-style engine: pack B per (jc, pc) panel on the calling thread,
-// then fan the micro-panel strips out over the pool (or run them inline for
-// the serial tier).  The grain is flop-derived so cheap strips coalesce
-// instead of degenerating to one strip per steal.
+// Offset of the (jc, pc) panel inside a PackedMatrix of op(B) (k x n).
+// Column blocks before jc are full kNC-wide (a multiple of kNR), so they
+// hold jc * k floats; within a block, kc x round_up(nc, kNR) panels stack
+// along k.
+Index packed_panel_offset(Index k, Index n, Index jc, Index pc) {
+  return jc * k + pc * round_up(std::min(kNC, n - jc), kNR);
+}
+
+// B source whose panels were packed ahead of time (PackedMatrix): each
+// (jc, pc) panel is read in place instead of packed.
+struct PrepackedSrcB {
+  const PackedMatrix* b;
+};
+
+// The BLIS-style engine: take B per (jc, pc) panel — packed here on the
+// calling thread, or pre-packed — then fan the micro-panel strips out over
+// the pool (or run them inline for the serial tier).  The grain is
+// flop-derived so cheap strips coalesce instead of degenerating to one
+// strip per steal.
 template <typename SrcB, typename Round>
 void gemm_packed(const MatView& a, const SrcB& bsrc, Index m, Index n,
                  Index k, float alpha, float beta, float* c, Index ldc,
                  const Epilogue& ep, Round rnd, bool threads) {
+  constexpr bool prepacked = std::is_same_v<SrcB, PrepackedSrcB>;
+  static_assert(!prepacked || std::is_same_v<Round, RoundNone>,
+                "pre-packed B panels are fp32");
   WorkspaceArena& arena = WorkspaceArena::local();
   WorkspaceArena::Scope scope(arena);
   const Index nstrips = (m + kMR - 1) / kMR;
-  const Index nc_max = std::min<Index>(kNC, round_up(n, kNR));
-  const Index kc_max = std::min<Index>(kKC, k);
-  float* bpack =
-      arena.alloc<float>(static_cast<std::size_t>(kc_max * nc_max));
+  float* bpack = nullptr;
+  if constexpr (!prepacked) {
+    const Index nc_max = std::min<Index>(kNC, round_up(n, kNR));
+    const Index kc_max = std::min<Index>(kKC, k);
+    bpack = arena.alloc<float>(static_cast<std::size_t>(kc_max * nc_max));
+  }
   for (Index jc = 0; jc < n; jc += kNC) {
     const Index nc = std::min<Index>(kNC, n - jc);
     for (Index pc = 0; pc < k; pc += kKC) {
       const Index kc = std::min<Index>(kKC, k - pc);
-      pack_b(bsrc, pc, kc, jc, nc, rnd, bpack);
-      PanelCtx ctx{&a,    bpack, c,  m,       ldc,  pc,
-                   kc,    jc,    nc, alpha,   beta, pc == 0,
+      const float* bp = bpack;
+      if constexpr (prepacked) {
+        bp = bsrc.b->panel(jc, pc);
+      } else {
+        pack_b(bsrc, pc, kc, jc, nc, rnd, bpack);
+      }
+      PanelCtx ctx{&a,    bp, c,  m,       ldc,  pc,
+                   kc,    jc, nc, alpha,   beta, pc == 0,
                    pc + kc >= k, &ep};
       if (threads) {
         const double flops_per_strip =
@@ -566,6 +627,42 @@ void gemm_fused(Op op_a, Op op_b, Index m, Index n, Index k, float alpha,
   const MatSrcB bv{{b, ldb, op_b == Op::Transpose}};
   gemm_packed(av, bv, m, n, k, alpha, beta, c, ldc, ep, RoundNone{},
               /*threads=*/true);
+}
+
+PackedMatrix::PackedMatrix(Op op_b, Index k, Index n, const float* b,
+                           Index ldb)
+    : k_(k), n_(n) {
+  check_gemm_dims(0, n, k);
+  data_.resize(static_cast<std::size_t>(k * round_up(n, kNR)));
+  const MatSrcB src{{b, ldb, op_b == Op::Transpose}};
+  for (Index jc = 0; jc < n; jc += kNC) {
+    const Index nc = std::min<Index>(kNC, n - jc);
+    for (Index pc = 0; pc < k; pc += kKC) {
+      const Index kc = std::min<Index>(kKC, k - pc);
+      pack_b(src, pc, kc, jc, nc, RoundNone{},
+             data_.data() + packed_panel_offset(k, n, jc, pc));
+    }
+  }
+}
+
+const float* PackedMatrix::panel(Index jc, Index pc) const {
+  return data_.data() + packed_panel_offset(k_, n_, jc, pc);
+}
+
+void gemm_prepacked(Op op_a, Index m, float alpha, const float* a, Index lda,
+                    const PackedMatrix& b, float beta, float* c, Index ldc,
+                    const Epilogue& ep) {
+  const Index n = b.cols();
+  const Index k = b.rows();
+  check_gemm_dims(m, n, k);
+  if (m == 0 || n == 0) return;
+  if (k == 0 || alpha == 0.0f) {
+    scale_epilogue_c(m, n, beta, c, ldc, ep);
+    return;
+  }
+  const MatView av{a, lda, op_a == Op::Transpose};
+  gemm_packed(av, PrepackedSrcB{&b}, m, n, k, alpha, beta, c, ldc, ep,
+              RoundNone{}, /*threads=*/true);
 }
 
 void gemm(Op op_a, Op op_b, Index m, Index n, Index k, float alpha,

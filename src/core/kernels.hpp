@@ -14,7 +14,9 @@
 // MRxNR register-blocked micro-kernel does all flops.  The micro-kernel
 // shape is chosen at configure time (see DESIGN.md "kernels"): a portable
 // `#pragma omp simd` kernel sized for the host vector width, or a scalar
-// fallback with -DCANDLE_GEMM_KERNEL=scalar.
+// fallback with -DCANDLE_GEMM_KERNEL=scalar.  A row strip holding fewer
+// than MR live rows runs the same kernel over 1, 2 or 4 rows instead, and B
+// may come pre-packed (PackedMatrix) instead of being packed per call.
 //
 // Epilogues (bias add and/or an activation) can be fused into the
 // micro-kernel's C-write, so a Dense/Conv forward pass performs no separate
@@ -62,6 +64,36 @@ void gemm(Op op_a, Op op_b, Index m, Index n, Index k, float alpha,
 void gemm_fused(Op op_a, Op op_b, Index m, Index n, Index k, float alpha,
                 const float* a, Index lda, const float* b, Index ldb,
                 float beta, float* c, Index ldc, const Epilogue& epilogue);
+
+/// A K x N B operand packed once into the engine's panel layout, so GEMMs
+/// that reuse the same B (an inference plan's weights) skip the per-call
+/// pack.  Each (jc, pc) cache block is stored exactly as the per-call pack
+/// would write it, so results are bit-identical to gemm_fused on the
+/// unpacked matrix.  fp32 only; immutable after construction.
+class PackedMatrix {
+ public:
+  PackedMatrix() = default;
+  /// Pack op(B) (K x N, stored with leading dimension ldb).
+  PackedMatrix(Op op_b, Index k, Index n, const float* b, Index ldb);
+
+  Index rows() const { return k_; }  ///< K
+  Index cols() const { return n_; }  ///< N
+
+  /// The packed (jc, pc) panel: kc x round_up(nc, NR) floats, NR-column
+  /// strips laid out strip-major.
+  const float* panel(Index jc, Index pc) const;
+
+ private:
+  Index k_ = 0, n_ = 0;
+  AlignedVector data_;
+};
+
+/// gemm_fused with B taken from a PackedMatrix:
+///   C[M,N] = alpha * op(A) * B + beta * C, then the epilogue.
+/// Bit-identical to gemm_fused on the matrix that `b` was packed from.
+void gemm_prepacked(Op op_a, Index m, float alpha, const float* a, Index lda,
+                    const PackedMatrix& b, float beta, float* c, Index ldc,
+                    const Epilogue& epilogue = {});
 
 /// Single-threaded packed kernel (same contract as gemm).
 void gemm_serial(Op op_a, Op op_b, Index m, Index n, Index k, float alpha,

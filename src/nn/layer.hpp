@@ -110,6 +110,7 @@ class ActivationLayer : public Layer {
   explicit ActivationLayer(Activation fn) : fn_(fn) {}
 
   std::string name() const override { return activation_name(fn_); }
+  Activation fn() const { return fn_; }
   Shape build(const Shape& input, Pcg32& rng) override;
   Tensor forward(const Tensor& x, bool training) override;
   Tensor infer(const Tensor& x) const override;

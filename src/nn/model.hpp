@@ -36,6 +36,9 @@ class Model {
 
   Index num_layers() const { return static_cast<Index>(layers_.size()); }
   Layer& layer(Index i) { return *layers_.at(static_cast<std::size_t>(i)); }
+  const Layer& layer(Index i) const {
+    return *layers_.at(static_cast<std::size_t>(i));
+  }
   const Shape& input_shape() const { return input_shape_; }
   const Shape& output_shape() const { return output_shape_; }
 

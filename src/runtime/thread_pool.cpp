@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "runtime/error.hpp"
+#include "runtime/workspace.hpp"
 
 namespace candle {
 
@@ -22,6 +23,10 @@ ThreadPool::ThreadPool(unsigned threads) {
   for (unsigned i = 0; i < threads; ++i) {
     workers_.emplace_back([this, i] { worker_main(i + 1); });
   }
+  // Return only once every lane holds its workspace reserve, so no arena
+  // grows behind a caller that already measured the pool as warm.
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_done_.wait(lock, [&] { return started_ == threads; });
 }
 
 ThreadPool::~ThreadPool() {
@@ -40,6 +45,12 @@ bool ThreadPool::on_worker_thread() const {
 }
 
 void ThreadPool::worker_main(unsigned index) {
+  WorkspaceArena::local().reserve(kLaneWorkspaceBytes);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++started_;
+  }
+  cv_done_.notify_all();
   std::uint64_t seen_generation = 0;
   for (;;) {
     const std::function<void(unsigned)>* job = nullptr;

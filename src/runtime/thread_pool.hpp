@@ -29,7 +29,8 @@ namespace candle {
 class ThreadPool {
  public:
   /// Create a pool with exactly `threads` workers.  With 0 workers every
-  /// job runs on the calling thread alone.
+  /// job runs on the calling thread alone.  Returns once every worker has
+  /// reserved kLaneWorkspaceBytes in its workspace arena.
   explicit ThreadPool(unsigned threads);
   ~ThreadPool();
 
@@ -68,6 +69,7 @@ class ThreadPool {
   const std::function<void(unsigned)>* job_ = nullptr;
   std::uint64_t generation_ = 0;
   unsigned outstanding_ = 0;
+  unsigned started_ = 0;  // workers that reserved their arena
   bool stop_ = false;
   std::exception_ptr first_error_;
 };

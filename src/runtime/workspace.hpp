@@ -37,6 +37,12 @@ namespace candle {
 /// line, which is also sufficient for 512-bit SIMD loads.
 inline constexpr std::size_t kWorkspaceAlign = 64;
 
+/// Arena capacity every thread-pool worker reserves when it starts: room for
+/// the largest block a kernel lane packs (core/kernels.cpp asserts the GEMM
+/// A block fits), so a lane's first chunk after warm-up does not grow its
+/// arena.
+inline constexpr std::size_t kLaneWorkspaceBytes = 256 * 1024;
+
 /// Minimal std::allocator replacement handing out `Align`-aligned storage.
 /// Used by Tensor so kernel operands start on cache-line boundaries.
 template <typename T, std::size_t Align = kWorkspaceAlign>

@@ -17,19 +17,20 @@ double seconds_between(SupervisedEngine::Clock::time_point a,
   return std::chrono::duration<double>(b - a).count();
 }
 
-/// One-shot cold-start calibration: time a full-max_batch infer() on a
-/// zeros batch and seed `batcher`'s per-row service EWMA with it, so
-/// deadline admission prices the very first window instead of admitting
-/// everything at a zero estimate.
-void run_calibration_probe(const Model& model, DynamicBatcher& batcher) {
+/// One-shot cold-start calibration: time the workers' plan on a
+/// full-max_batch zeros batch and seed `batcher`'s per-row service EWMA with
+/// it, so deadline admission prices the very first window instead of
+/// admitting everything at a zero estimate.
+void run_calibration_probe(const InferencePlan& plan,
+                           DynamicBatcher& batcher) {
   const Index rows = batcher.policy().max_batch;
-  Shape shape = model.input_shape();
+  Shape shape = plan.input_shape();
   shape.insert(shape.begin(), rows);
   const Tensor probe(std::move(shape));
+  InferencePlan::Scratch scratch = plan.make_scratch();
   const auto t0 = SupervisedEngine::Clock::now();
-  const Tensor y = model.infer(probe);
+  (void)plan.run(probe, scratch);
   const auto t1 = SupervisedEngine::Clock::now();
-  (void)y;
   batcher.record_service(rows, seconds_between(t0, t1));
 }
 
@@ -38,13 +39,12 @@ void run_calibration_probe(const Model& model, DynamicBatcher& batcher) {
 SupervisedEngine::SupervisedEngine(const Model& model,
                                    SupervisedOptions options,
                                    runtime::FaultInjector* injector)
-    : model_(model),
-      options_(options),
+    : options_(options),
       sample_numel_(shape_numel(model.input_shape())),
       output_numel_(shape_numel(model.output_shape())),
       injector_(injector),
-      batcher_(options.batch, options.workers) {
-  CANDLE_CHECK(model_.built(), "SupervisedEngine needs a built model");
+      batcher_(options.batch, options.workers),
+      plan_(model, options.batch.max_batch) {
   CANDLE_CHECK(options_.workers >= 1, "engine needs at least one worker");
   const SupervisorPolicy& p = options_.supervise;
   CANDLE_CHECK(p.tick_s > 0.0, "tick_s must be positive");
@@ -66,7 +66,7 @@ SupervisedEngine::SupervisedEngine(const Model& model,
                "brownout_shed_ewma_alpha must be in (0, 1]");
   // The probe runs before any worker exists, so the first submitted request
   // is already priced against a calibrated EWMA.
-  if (options_.calibration_probe) run_calibration_probe(model_, batcher_);
+  if (options_.calibration_probe) run_calibration_probe(plan_, batcher_);
   slots_.reserve(static_cast<std::size_t>(options_.workers));
   for (Index w = 0; w < options_.workers; ++w) spawn_worker();
   supervisor_ = std::thread([this] { supervisor_main(); });
@@ -93,11 +93,13 @@ std::future<Response> SupervisedEngine::submit(Request req) {
 
 void SupervisedEngine::worker_main(WorkerSlot* slot) {
   using runtime::FaultKind;
-  // One assembly buffer per worker, sized once for the largest batch; with
-  // the worker's thread-local workspace arena warm, the steady-state
-  // iteration allocates nothing beyond the flight and response payloads.
+  // One assembly buffer and one plan scratch per worker, sized once for the
+  // largest batch; with the worker's thread-local workspace arena warm, the
+  // steady-state iteration allocates nothing beyond the flight and response
+  // payloads.
   const Index capacity = options_.batch.max_batch;
-  BatchAssembler assembler(model_.input_shape(), capacity);
+  BatchAssembler assembler(plan_.input_shape(), capacity);
+  InferencePlan::Scratch scratch = plan_.make_scratch();
   std::vector<DynamicBatcher::PendingPtr> batch;
   batch.reserve(static_cast<std::size_t>(capacity));
   std::vector<Index> poisoned;  // batch rows to recompute
@@ -141,8 +143,8 @@ void SupervisedEngine::worker_main(WorkerSlot* slot) {
     for (Index i = 0; i < rows; ++i) {
       assembler.set_row(i, batch[static_cast<std::size_t>(i)]->request.input);
     }
-    const Tensor y = model_.infer(assembler.batch());
-    out.assign(y.data(), y.data() + rows * output_numel_);
+    const std::span<const float> y = plan_.run(assembler.batch(), scratch);
+    out.assign(y.begin(), y.end());
     if (injector_) {
       if (auto ev = injector_->poll(FaultKind::BatchCorruption, ordinal,
                                     slot->id)) {
@@ -178,10 +180,10 @@ void SupervisedEngine::worker_main(WorkerSlot* slot) {
         assembler.set_row(j,
                           batch[static_cast<std::size_t>(i)]->request.input);
       }
-      const Tensor y2 = model_.infer(assembler.batch());
+      const std::span<const float> y2 = plan_.run(assembler.batch(), scratch);
       for (Index j = 0; j < redo; ++j) {
-        std::copy(y2.data() + j * output_numel_,
-                  y2.data() + (j + 1) * output_numel_,
+        std::copy(y2.begin() + j * output_numel_,
+                  y2.begin() + (j + 1) * output_numel_,
                   out.begin() + poisoned[static_cast<std::size_t>(j)] *
                                     output_numel_);
       }

@@ -2,13 +2,16 @@
 // batcher, run under a heartbeat watchdog (DESIGN.md "Serving" and
 // "Serving failure model").
 //
-// N worker threads share ONE const Model (infer() touches no layer state,
-// so the weights stay resident once, not once per worker).  Each worker
-// runs one loop: acquire up to max_batch rows from the batcher (coalescing
-// or continuous admission, see BatchPolicy), register them as its flight,
-// assemble them through its own BatchAssembler, infer, and resolve every
-// row.  Assembly and GEMM scratch reuse per-worker buffers, so neither
-// allocates at steady state.
+// The constructor freezes the Model into one InferencePlan (nn/plan: Dense
+// weights packed once, activations fused into the GEMM epilogue), and N
+// worker threads share it read-only, so the weights stay resident once, not
+// once per worker.  Each worker runs one loop: acquire up to max_batch rows
+// from the batcher (coalescing or continuous admission, see BatchPolicy),
+// register them as its flight, assemble them through its own
+// BatchAssembler, run the plan on its own scratch, and resolve every row.
+// Assembly, activations and GEMM scratch reuse per-worker buffers, so none
+// of them allocates at steady state.  The plan is bit-identical to
+// Model::infer, so responses equal serial Model::predict.
 // The caller owns the Model and must keep it alive and *unmodified* while
 // the engine runs.
 //
@@ -59,6 +62,7 @@
 #include <vector>
 
 #include "nn/model.hpp"
+#include "nn/plan.hpp"
 #include "runtime/fault.hpp"
 #include "serve/batcher.hpp"
 #include "serve/stats.hpp"
@@ -121,11 +125,12 @@ class SupervisedEngine {
  public:
   using Clock = DynamicBatcher::Clock;
 
-  /// The model must be built; it is borrowed (shared const weights), not
-  /// copied.  The injector is optional and borrowed; it must outlive the
-  /// engine.  Worker w polls serving fault kinds at (its own iteration
-  /// count, its stable worker id w); replacements take ids N, N+1, ... so
-  /// scheduled faults for a dead worker never re-fire.
+  /// The model must be built; it is borrowed, not copied: the plan packs
+  /// its Dense weights and calls its other layers directly.  The injector is
+  /// optional and borrowed; it must outlive the engine.  Worker w polls
+  /// serving fault kinds at (its own iteration count, its stable worker id
+  /// w); replacements take ids N, N+1, ... so scheduled faults for a dead
+  /// worker never re-fire.
   explicit SupervisedEngine(const Model& model, SupervisedOptions options = {},
                             runtime::FaultInjector* injector = nullptr);
   ~SupervisedEngine();
@@ -202,12 +207,14 @@ class SupervisedEngine {
   Index serving_live() const;
   void update_brownout(Index live);
 
-  const Model& model_;
   const SupervisedOptions options_;
   const Index sample_numel_;
   const Index output_numel_;
   runtime::FaultInjector* injector_;
   DynamicBatcher batcher_;
+  /// Built before the calibration probe and the first submit; every worker,
+  /// the probe, the poison recompute and hedged duplicates run it.
+  const InferencePlan plan_;
 
   LatencyHistogram latency_;
   LatencyHistogram queue_wait_;

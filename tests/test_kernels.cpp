@@ -1,9 +1,11 @@
 // Unit + property tests for the dense kernels: all GEMM tiers agree with the
 // naive reference across shapes/transposes, GEMV matches GEMM, im2col/col2im
-// are mutually adjoint, and precision-emulated GEMM obeys format error bounds.
+// are mutually adjoint, precision-emulated GEMM obeys format error bounds,
+// and pre-packed and short-strip GEMMs are bit-identical to the packed path.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -25,7 +27,9 @@ class GemmAgreement : public ::testing::TestWithParam<GemmCase> {};
 
 TEST_P(GemmAgreement, BlockedAndParallelMatchNaive) {
   const auto [m, n, k, op_a, op_b] = GetParam();
-  Pcg32 rng(static_cast<std::uint64_t>(m * 73856093 ^ n * 19349663 ^ k));
+  Pcg32 rng(static_cast<std::uint64_t>(m) * 73856093u ^
+            static_cast<std::uint64_t>(n) * 19349663u ^
+            static_cast<std::uint64_t>(k));
   const Index ar = op_a == Op::None ? m : k;
   const Index ac = op_a == Op::None ? k : m;
   const Index br = op_b == Op::None ? k : n;
@@ -604,6 +608,136 @@ TEST(ConvForwardGemm, MatchesExplicitIm2colPlusBias2d) {
                       kernel, stride, w.data(), filters, bias.data(),
                       got.data());
   EXPECT_EQ(max_abs_diff(want, got), 0.0f);
+}
+
+// ---- pre-packed B and the m-sized micro-kernel ------------------------------
+
+// Shapes chosen against every configured register tile (NR 4..32, MR 4..8)
+// and block size (KC 256, NC 4096): n = 45 is a multiple of no NR, and
+// k = 300 spans two k blocks, so C accumulates across them.
+TEST(PrepackedGemm, BitIdenticalToGemmFused) {
+  Pcg32 rng(0x9ac);
+  const Index k = 300;
+  for (const Index n : {45, 4096 + 37}) {
+    Tensor b = random_matrix(k, n, rng);
+    Tensor bt({n, k});  // the same operand stored transposed
+    for (Index p = 0; p < k; ++p) {
+      for (Index j = 0; j < n; ++j) bt.at(j, p) = b.at(p, j);
+    }
+    const PackedMatrix packed(Op::None, k, n, b.data(), n);
+    const PackedMatrix packed_t(Op::Transpose, k, n, bt.data(), k);
+    ASSERT_EQ(packed.rows(), k);
+    ASSERT_EQ(packed.cols(), n);
+    Tensor col_bias = Tensor::randn({n}, rng);
+    std::vector<Index> ms = {1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 64};
+    if (n > 4096) ms = {1, 9};  // the second column block; keep it quick
+    for (const Index m : ms) {
+      Tensor a = random_matrix(m, k, rng);
+      Tensor at({k, m});
+      for (Index i = 0; i < m; ++i) {
+        for (Index p = 0; p < k; ++p) at.at(p, i) = a.at(i, p);
+      }
+      Tensor row_bias = Tensor::randn({m}, rng);
+      Tensor c_init = random_matrix(m, n, rng);
+      for (const Epilogue::Act act :
+           {Epilogue::Act::None, Epilogue::Act::ReLU, Epilogue::Act::Sigmoid,
+            Epilogue::Act::Tanh}) {
+        for (const int bias : {0, 1, 2}) {  // none, column, row
+          Epilogue ep;
+          ep.act = act;
+          ep.bias = bias == 0   ? nullptr
+                    : bias == 1 ? col_bias.data()
+                                : row_bias.data();
+          ep.bias_axis =
+              bias == 2 ? Epilogue::BiasAxis::Row : Epilogue::BiasAxis::Column;
+          const float beta = bias == 1 ? 0.6f : 0.0f;
+          const float alpha = act == Epilogue::Act::None ? 0.75f : 1.0f;
+          Tensor want = c_init;
+          gemm_fused(Op::None, Op::None, m, n, k, alpha, a.data(), k,
+                     b.data(), n, beta, want.data(), n, ep);
+          Tensor got = c_init;
+          gemm_prepacked(Op::None, m, alpha, a.data(), k, packed, beta,
+                         got.data(), n, ep);
+          Tensor got_t = c_init;
+          gemm_prepacked(Op::Transpose, m, alpha, at.data(), m, packed_t,
+                         beta, got_t.data(), n, ep);
+          ASSERT_EQ(std::memcmp(want.data(), got.data(),
+                                sizeof(float) * want.numel()),
+                    0)
+              << "m=" << m << " n=" << n << " bias=" << bias;
+          ASSERT_EQ(std::memcmp(want.data(), got_t.data(),
+                                sizeof(float) * want.numel()),
+                    0)
+              << "transposed m=" << m << " n=" << n << " bias=" << bias;
+        }
+      }
+    }
+  }
+}
+
+TEST(PrepackedGemm, DegenerateShapes) {
+  // k == 0 still runs the epilogue; m == 0 touches nothing.
+  const PackedMatrix empty(Op::None, 0, 3, nullptr, 3);
+  Tensor c({2, 3}, {1, -2, 3, -4, 5, -6});
+  Tensor bias({3}, {10, 20, 30});
+  Epilogue ep;
+  ep.bias = bias.data();
+  ep.act = Epilogue::Act::ReLU;
+  gemm_prepacked(Op::None, 2, 1.0f, nullptr, 1, empty, 1.0f, c.data(), 3, ep);
+  EXPECT_FLOAT_EQ(c.at(0, 0), 11.0f);
+  EXPECT_FLOAT_EQ(c.at(0, 1), 18.0f);
+  EXPECT_FLOAT_EQ(c.at(1, 2), 24.0f);
+  gemm_prepacked(Op::None, 0, 1.0f, nullptr, 1, empty, 0.0f, nullptr, 3);
+}
+
+// Each row of a product is computed independently of the rows batched with
+// it: row r of a 9-row product (an MR strip plus a 1-row strip) equals, bit
+// for bit, row r computed alone and inside every 2-, 3- and 4-row product
+// that holds it (1-, 2- and 4-row kernels).  This is what lets a serving
+// batch of any size equal serial predict.
+TEST(GemmRowIndependence, RowsMatchAcrossBatchSizes) {
+  Pcg32 rng(0x5eed);
+  const Index rows = 9, n = 45, k = 300;
+  Tensor a = random_matrix(rows, k, rng);
+  Tensor b = random_matrix(k, n, rng);
+  Tensor bias = Tensor::randn({n}, rng);
+  const PackedMatrix packed(Op::None, k, n, b.data(), n);
+  Epilogue ep;
+  ep.bias = bias.data();
+  ep.act = Epilogue::Act::Tanh;
+  for (const bool prepacked : {false, true}) {
+    const auto product = [&](const Tensor& x) {
+      const Index m = x.dim(0);
+      Tensor c({m, n});
+      if (prepacked) {
+        gemm_prepacked(Op::None, m, 1.0f, x.data(), k, packed, 0.0f,
+                       c.data(), n, ep);
+      } else {
+        gemm_fused(Op::None, Op::None, m, n, k, 1.0f, x.data(), k, b.data(),
+                   n, 0.0f, c.data(), n, ep);
+      }
+      return c;
+    };
+    const Tensor full = product(a);
+    for (const Index size : {1, 2, 3, 4}) {
+      for (Index start = 0; start < rows; ++start) {
+        Tensor x({size, k});
+        for (Index t = 0; t < size; ++t) {
+          const Index r = (start + t) % rows;
+          std::copy(a.row(r).begin(), a.row(r).end(), x.row(t).begin());
+        }
+        const Tensor part = product(x);
+        for (Index t = 0; t < size; ++t) {
+          const Index r = (start + t) % rows;
+          ASSERT_EQ(std::memcmp(part.row(t).data(), full.row(r).data(),
+                                sizeof(float) * n),
+                    0)
+              << "row " << r << " at " << t << " of " << size
+              << (prepacked ? " (pre-packed)" : "");
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,13 +1,19 @@
 // Model-level tests: construction contracts, deterministic builds,
 // end-to-end training on separable synthetic tasks, flat weight/grad
-// serialization, precision plumbing, and the fit() trainer.
+// serialization, precision plumbing, the frozen inference plan, and the
+// fit() trainer.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <span>
+#include <string>
 
 #include "nn/metrics.hpp"
 #include "nn/model.hpp"
+#include "nn/plan.hpp"
 #include "nn/trainer.hpp"
+#include "runtime/workspace.hpp"
 
 namespace candle {
 namespace {
@@ -179,6 +185,119 @@ TEST(Model, PrecisionPropagatesToLayers) {
   for (Index i = 0; i < m.num_layers(); ++i) {
     EXPECT_EQ(m.layer(i).precision(), Precision::BF16);
   }
+}
+
+// ---- InferencePlan -----------------------------------------------------------
+
+// run() must equal Model::infer bit for bit at every row count, since the
+// serving engine runs the plan and its clients compare against predict.
+void expect_plan_matches_infer(const Model& m, const std::string& summary,
+                               std::uint64_t seed) {
+  const InferencePlan plan(m, 256);
+  EXPECT_EQ(plan.summary(), summary);
+  EXPECT_EQ(plan.output_shape(), m.output_shape());
+  InferencePlan::Scratch scratch = plan.make_scratch();
+  Pcg32 rng(seed);
+  for (const Index rows : {1, 2, 3, 4, 5, 6, 7, 8, 9, 256}) {
+    Shape shape = m.input_shape();
+    shape.insert(shape.begin(), rows);
+    const Tensor x = Tensor::randn(shape, rng);
+    const Tensor want = m.infer(x);
+    const std::span<const float> got = plan.run(x, scratch);
+    ASSERT_EQ(static_cast<Index>(got.size()), want.numel()) << rows;
+    ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                          sizeof(float) * got.size()),
+              0)
+        << summary << ", rows=" << rows;
+  }
+}
+
+TEST(InferencePlan, FusedDenseStacksMatchInfer) {
+  Model m;
+  m.add(make_dense(64)).add(make_relu());
+  m.add(make_dense(48)).add(make_sigmoid());
+  m.add(make_dense(33)).add(make_tanh());
+  m.add(make_dense(5));
+  m.build({37}, 61);
+  expect_plan_matches_infer(
+      m, "dense(64)+relu -> dense(48)+sigmoid -> dense(33)+tanh -> dense(5)",
+      62);
+}
+
+TEST(InferencePlan, FallbackStepsMatchInfer) {
+  Model m;
+  m.add(make_dense(40)).add(make_relu()).add(make_dropout(0.25f));
+  m.add(make_dense(32)).add(make_leaky_relu());
+  m.add(make_dense(24)).add(make_relu());
+  m.add(make_dense(3));
+  m.build({29}, 71);
+  m.layer(5).set_precision(Precision::BF16);  // dense(24): fallback
+  expect_plan_matches_infer(m,
+                            "dense(40)+relu -> dropout -> dense(32) -> "
+                            "leaky_relu -> dense(24) -> relu -> dense(3)",
+                            72);
+}
+
+TEST(InferencePlan, ConvFrontEndMatchesInfer) {
+  // Rank-3 activations through fallback steps, then packed steps.
+  Model m;
+  m.add(make_conv1d(3, 3)).add(make_relu()).add(make_maxpool1d(2));
+  m.add(make_flatten()).add(make_dense(8)).add(make_tanh());
+  m.add(make_dense(1));
+  m.build({2, 12}, 81);
+  expect_plan_matches_infer(m,
+                            "conv1d(3x3) -> relu -> maxpool1d(2) -> flatten "
+                            "-> dense(8)+tanh -> dense(1)",
+                            82);
+}
+
+TEST(InferencePlan, IsASnapshotOfTheWeights) {
+  Model m = mlp(6, 16, 2, 91);
+  Pcg32 rng(92);
+  const Tensor x = Tensor::randn({3, 6}, rng);
+  const Tensor before = m.infer(x);
+  const InferencePlan plan(m, 4);
+  InferencePlan::Scratch scratch = plan.make_scratch();
+  for (Tensor* p : m.params()) p->scale(2.0f);
+  const std::span<const float> got = plan.run(x, scratch);
+  EXPECT_EQ(std::memcmp(got.data(), before.data(), sizeof(float) * got.size()),
+            0);
+}
+
+TEST(InferencePlan, RejectsBadInputs) {
+  Model unbuilt;
+  unbuilt.add(make_dense(2));
+  EXPECT_THROW(InferencePlan(unbuilt, 4), Error);
+  Model m = mlp(6, 16, 2, 93);
+  EXPECT_THROW(InferencePlan(m, 0), Error);
+  const InferencePlan plan(m, 4);
+  InferencePlan::Scratch scratch = plan.make_scratch();
+  EXPECT_THROW(plan.run(Tensor({5, 6}), scratch), Error);  // too many rows
+  EXPECT_THROW(plan.run(Tensor({2, 7}), scratch), Error);  // wrong width
+  InferencePlan::Scratch empty;
+  EXPECT_THROW(plan.run(Tensor({2, 6}), empty), Error);
+}
+
+TEST(InferencePlan, SteadyStateRunsDoNotGrowArenas) {
+  Model m;
+  m.add(make_dense(128)).add(make_relu());
+  m.add(make_dense(64)).add(make_relu());
+  m.add(make_dense(1));
+  m.build({96}, 101);
+  const InferencePlan plan(m, 4);
+  InferencePlan::Scratch scratch = plan.make_scratch();
+  Pcg32 rng(102);
+  const Tensor x4 = Tensor::randn({4, 96}, rng);
+  std::vector<Tensor> xs;
+  for (Index rows = 1; rows <= 4; ++rows) {
+    xs.push_back(Tensor::randn({rows, 96}, rng));
+  }
+  for (int i = 0; i < 2; ++i) (void)plan.run(x4, scratch);
+  const std::uint64_t grows = workspace_stats().grow_count;
+  for (int i = 0; i < 50; ++i) {
+    (void)plan.run(xs[static_cast<std::size_t>(i % 4)], scratch);
+  }
+  EXPECT_EQ(workspace_stats().grow_count, grows);
 }
 
 TEST(Trainer, LossScalingIsTransparentInFp32) {
