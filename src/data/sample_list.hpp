@@ -15,9 +15,10 @@
 // Sharding: epoch e's permutation is cut into steps_per_epoch() full global
 // batches of replicas * batch_per_replica indices; replica r's shard of
 // step s is the r-th contiguous window of batch s.  The tail of the
-// permutation that does not fill a full global batch is *dropped* — exactly
-// the silent truncation the legacy path performed, except here it is
-// counted and surfaced (dropped_tail_samples) instead of vanishing.
+// permutation that does not fill a full global batch is *dropped*: counted
+// and surfaced (dropped_tail_samples), never trained.  This is the only
+// sample order the data-parallel step loop reads, whatever its ingest
+// options.
 #pragma once
 
 #include <array>

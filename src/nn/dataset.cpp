@@ -8,29 +8,19 @@ namespace candle {
 
 namespace {
 
-void gather_rows_into(const Tensor& t, std::span<const Index> idx,
-                      Tensor& out) {
+Tensor gather_rows(const Tensor& t, std::span<const Index> idx) {
   CANDLE_CHECK(t.ndim() >= 1, "gather needs at least rank 1");
   const Index n = t.dim(0);
   const Index stride = n > 0 ? t.numel() / n : 0;
-  CANDLE_CHECK(out.ndim() == t.ndim() &&
-                   out.dim(0) == static_cast<Index>(idx.size()) &&
-                   out.numel() == static_cast<Index>(idx.size()) * stride,
-               "gather_into destination shape mismatch");
+  Shape s = t.shape();
+  s[0] = static_cast<Index>(idx.size());
+  Tensor out(s);
   for (std::size_t i = 0; i < idx.size(); ++i) {
     const Index r = idx[i];
     CANDLE_CHECK(r >= 0 && r < n, "gather row index out of range");
     std::copy(t.data() + r * stride, t.data() + (r + 1) * stride,
               out.data() + static_cast<Index>(i) * stride);
   }
-}
-
-Tensor gather_rows(const Tensor& t, std::span<const Index> idx) {
-  CANDLE_CHECK(t.ndim() >= 1, "gather needs at least rank 1");
-  Shape s = t.shape();
-  s[0] = static_cast<Index>(idx.size());
-  Tensor out(s);
-  gather_rows_into(t, idx, out);
   return out;
 }
 
@@ -45,11 +35,6 @@ Dataset slice(const Dataset& d, Index lo, Index hi) {
 
 Dataset gather(const Dataset& d, std::span<const Index> idx) {
   return {gather_rows(d.x, idx), gather_rows(d.y, idx)};
-}
-
-void gather_into(const Dataset& d, std::span<const Index> idx, Dataset& out) {
-  gather_rows_into(d.x, idx, out.x);
-  gather_rows_into(d.y, idx, out.y);
 }
 
 std::pair<Dataset, Dataset> split(const Dataset& d, double first_fraction,
@@ -87,7 +72,7 @@ Index BatchIterator::batches_per_epoch() const {
 
 void BatchIterator::reshuffle() { std::shuffle(order_.begin(), order_.end(), rng_); }
 
-std::span<const Index> BatchIterator::next_indices() {
+Dataset BatchIterator::next() {
   if (cursor_ >= data_->size()) {
     cursor_ = 0;
     ++epoch_;
@@ -97,10 +82,8 @@ std::span<const Index> BatchIterator::next_indices() {
   const std::span<const Index> idx(order_.data() + cursor_,
                                    static_cast<std::size_t>(hi - cursor_));
   cursor_ = hi;
-  return idx;
+  return gather(*data_, idx);
 }
-
-Dataset BatchIterator::next() { return gather(*data_, next_indices()); }
 
 Standardizer Standardizer::fit(const Tensor& x) {
   CANDLE_CHECK(x.ndim() == 2, "Standardizer expects (samples, features)");

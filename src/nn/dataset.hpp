@@ -34,18 +34,15 @@ Dataset slice(const Dataset& d, Index lo, Index hi);
 /// Rows selected by `idx`, in order (copies).
 Dataset gather(const Dataset& d, std::span<const Index> idx);
 
-/// Gather rows selected by `idx` into `out`'s existing tensors, which must
-/// already have shape {idx.size(), sample dims...}.  No allocation: this is
-/// the steady-state batch-assembly primitive (persistent shard buffers are
-/// refilled in place every step instead of slice() allocating fresh ones).
-void gather_into(const Dataset& d, std::span<const Index> idx, Dataset& out);
-
 /// Deterministic shuffled split into (first, second) with `first_fraction`
 /// of the rows in the first part.
 std::pair<Dataset, Dataset> split(const Dataset& d, double first_fraction,
                                   std::uint64_t seed);
 
 /// Iterate a dataset in mini-batches, optionally reshuffling every epoch.
+/// Serial fit() and the parameter-server trainer draw their batches here;
+/// the data-parallel step loop reads the ingest reader's (seed, epoch)-pure
+/// order instead (data/sample_list), so one seed gives them different orders.
 class BatchIterator {
  public:
   BatchIterator(const Dataset& data, Index batch_size, bool shuffle,
@@ -57,13 +54,6 @@ class BatchIterator {
   /// Next mini-batch; wraps to a new epoch (reshuffling if enabled) when the
   /// current one is exhausted.
   Dataset next();
-
-  /// Advance exactly like next() but return the batch's row indices instead
-  /// of materializing a Dataset copy.  The view is valid until the next
-  /// next()/next_indices() call.  Callers gather the rows themselves (e.g.
-  /// gather_into persistent buffers), which keeps the legacy batch stream
-  /// bit-identical while removing the per-step allocations.
-  std::span<const Index> next_indices();
 
   /// Which epoch the *next* batch belongs to (starts at 0).
   Index epoch() const { return epoch_; }

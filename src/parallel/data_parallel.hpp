@@ -12,7 +12,8 @@
 // step loop, which lives beside its fault-tolerant entry point
 // train_resilient (parallel/resilient): it runs that loop with an empty
 // fault schedule, no checkpoint file and the communicator's default
-// timeout.  Short tail batches are skipped, never trained.
+// timeout.  Every batch comes through the ingest reader (src/data), whose
+// sample list drops the tail that does not fill a global batch.
 #pragma once
 
 #include <functional>
@@ -32,15 +33,18 @@ using ModelFactory = std::function<Model()>;
 /// Builds one optimizer instance per replica (identical hyperparameters).
 using OptimizerFactory = std::function<std::unique_ptr<Optimizer>()>;
 
-/// Opt-in parallel ingest (src/data): (seed, epoch)-pure sharded sample
-/// lists, a concurrent bounded sample store with background fetchers, and a
-/// double-buffered prefetch reader that assembles the next global batch
-/// while the current step computes.  Off by default: the legacy path keeps
-/// the exact BatchIterator stream existing tests and studies pin.  The
-/// ingest stream uses its own pure permutation, so enabling it changes the
-/// sample order (but the order is then identical across prefetch depths,
-/// fetch-thread counts, and checkpoint restarts).
+/// How the step loop's one input path (src/data) is configured: (seed,
+/// epoch)-pure sharded sample lists, a concurrent bounded sample store with
+/// background fetchers, and a prefetch reader that assembles the next
+/// global batch while the current step computes.  The sample order depends
+/// only on (seed, epoch, width), so no field below changes one bit of
+/// training: not `enabled`, the depth, the fetch threads or the budget.
 struct IngestOptions {
+  /// true runs the reader with the four fields below.  false (the default)
+  /// ignores them and runs it in memory and synchronously: the training set
+  /// as a source with no fetch cost, a store budget that holds all of it,
+  /// no fetch threads and prefetch depth 1, so each batch is assembled
+  /// inline and no thread is started.
   bool enabled = false;
   /// Batch slots assembled ahead (1 = synchronous assembly, no producer
   /// thread — the baseline bench_e13 compares against).
@@ -80,7 +84,7 @@ struct DataParallelOptions {
   /// it (nonblocking ring), overlapping communication with the remaining
   /// backward compute.  Requires bucket_bytes > 0.
   bool overlap_comm = false;
-  /// Parallel ingest configuration (disabled = legacy BatchIterator path).
+  /// Input path configuration (disabled = the reader in memory, inline).
   IngestOptions ingest;
 };
 
@@ -110,8 +114,9 @@ struct DataParallelResult {
 
   // Ingest instrumentation (means per executed step).  busy is total
   // batch-assembly work wherever it ran; exposed is the part the step loop
-  // actually waited on.  On the legacy synchronous path busy == exposed
-  // (assembly runs inline on the training thread).
+  // actually waited on.  At prefetch depth 1 (ingest disabled, or enabled
+  // with depth 1) busy == exposed: assembly runs inline on the training
+  // thread.
   double measured_ingest_busy_s = 0.0;
   double measured_exposed_ingest_s = 0.0;
   double measured_ingest_overlap_fraction = 0.0;  // 1 - exposed/busy

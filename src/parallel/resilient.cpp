@@ -48,6 +48,22 @@ bool contributes(StepRole r) {
   return r == StepRole::Fresh || r == StepRole::StalePush;
 }
 
+/// The reader configuration `in` selects.  Disabled ingest is the
+/// in-memory, synchronous configuration of the same reader: free fetches,
+/// a store that holds the whole training set, no fetch threads and
+/// prefetch depth 1 (each batch is assembled inline when the step asks).
+IngestOptions effective_ingest(const IngestOptions& in, const Dataset& train) {
+  if (in.enabled) return in;
+  IngestOptions sync;
+  sync.prefetch_depth = 1;
+  sync.fetch_threads = 0;
+  sync.store_byte_budget =
+      static_cast<std::size_t>(train.x.numel() + train.y.numel()) *
+      sizeof(float);
+  sync.synthetic_fetch_cost_s = 0.0;
+  return sync;
+}
+
 /// The one synchronous data-parallel step loop behind both entry points.
 /// An empty checkpoint path writes no checkpoint (a restore then restarts
 /// from the factory state); `timeout` overrides the communicators' dead-rank
@@ -228,86 +244,46 @@ ResilientResult run_step_loop(const ModelFactory& factory,
   reset_mitigation_state();
 
   // ---- deterministic batch stream -------------------------------------------
-  // The stream is a pure function of (seed, batch size); replay after a
-  // restore re-consumes the exact same batches, which is what makes
-  // checkpoint recovery bit-identical to the failure-free run.
-  //
-  // Two implementations share that contract:
-  //  * legacy BatchIterator — stateful shuffle RNG, so repositioning means
-  //    replaying every batch from the stream anchor (O(steps)).  Each step's
-  //    shards are gathered into persistent per-rank buffers;
-  //  * ingest reader (t.ingest.enabled) — (seed, epoch)-pure permutations,
-  //    so a stream position is just a cursor and repositioning is an O(1)
-  //    seek.  The cursor (epoch, step, stream seed) is recorded in the v3
-  //    checkpoint, so a restore resumes the sample stream bit-identically
-  //    without replay.
-  const bool use_ingest = t.ingest.enabled;
+  // Every batch comes through the ingest reader.  Its sample order is a
+  // pure function of (seed, epoch, width), so a stream position is just a
+  // cursor and repositioning is an O(1) seek.  The cursor (epoch, step,
+  // stream seed) is recorded in every (v3) checkpoint, so a restore resumes
+  // the sample stream bit-identically without replay.  The sample list
+  // drops the tail that does not fill a global batch, so no batch is short.
+  const IngestOptions ingest = effective_ingest(t.ingest, train);
+  data::DatasetSource ingest_source(train, ingest.synthetic_fetch_cost_s);
+  data::SampleStoreOptions so;
+  so.byte_budget = ingest.store_byte_budget;
+  so.fetch_threads = ingest.fetch_threads;
+  data::SampleStore ingest_store(ingest_source, so);
   std::uint64_t iter_seed = t.seed;
   Index iter_base = 0;   // committed step at which the current stream started
   Index committed = 0;
-  std::unique_ptr<BatchIterator> batches;
-  std::vector<Dataset> shard_bufs;  // legacy path: refilled in place per step
-  std::unique_ptr<data::DatasetSource> ingest_source;
-  std::unique_ptr<data::SampleStore> ingest_store;
   std::unique_ptr<data::IngestReader> reader;
-  // Ingest work (busy) and the part the step waited on (exposed); the
-  // legacy path assembles inline, so there busy == exposed.
+  // Ingest work (busy) and the part the step waited on (exposed), summed
+  // over reader rebuilds.
   double ingest_busy_acc = 0.0, ingest_exposed_acc = 0.0;
-  if (use_ingest) {
-    ingest_source = std::make_unique<data::DatasetSource>(
-        train, t.ingest.synthetic_fetch_cost_s);
-    data::SampleStoreOptions so;
-    so.byte_budget = t.ingest.store_byte_budget;
-    so.fetch_threads = t.ingest.fetch_threads;
-    ingest_store = std::make_unique<data::SampleStore>(*ingest_source, so);
-  } else {
-    Shape xs = train.x.shape();
-    xs[0] = b;
-    Shape ys = train.y.shape();
-    ys[0] = b;
-    for (Index r = 0; r < p0; ++r) {
-      shard_bufs.push_back(Dataset{Tensor(xs), Tensor(ys)});
-    }
-  }
-  // The iterator yields a short tail batch when the global batch does not
-  // divide the dataset (the norm after an elastic shrink re-shards at p-1
-  // width).  Short batches are skipped deterministically, so the stream of
-  // full batches is still a pure function of (seed, width) and replay after
-  // a restore stays aligned.  (The ingest reader never emits short batches:
-  // its sample list drops the tail by construction.)
-  auto next_full = [&]() -> std::span<const Index> {
-    for (;;) {
-      const std::span<const Index> idx = batches->next_indices();
-      if (static_cast<Index>(idx.size()) == live_p * b) return idx;
-    }
-  };
-  // Current stream position of the NEXT batch, as a flat count of full
-  // batches since the stream anchor.
+  // Current stream position of the NEXT batch, as a flat count of batches
+  // since the stream anchor.
   auto stream_position = [&] { return committed - iter_base; };
   auto reset_stream = [&] {
-    if (use_ingest) {
-      // (Re)build the reader at the current width/seed — width changes only
-      // on elastic shrink, which passes through here — then O(1)-seek to
-      // the current stream position (a fresh reader already sits at 0).
-      if (reader) {
-        ingest_busy_acc += reader->assemble_busy_s();
-        ingest_exposed_acc += reader->exposed_wait_s();
-      }
-      data::ReaderOptions ro;
-      ro.replicas = live_p;
-      ro.batch_per_replica = b;
-      ro.shuffle = t.shuffle;
-      ro.seed = iter_seed;
-      ro.prefetch_depth = t.ingest.prefetch_depth;
-      reader = std::make_unique<data::IngestReader>(*ingest_store, ro);
-      if (stream_position() > 0) {
-        reader->seek(reader->list().cursor_at(stream_position()));
-      }
-      return;
+    // (Re)build the reader at the current width/seed — width changes only
+    // on elastic shrink, which passes through here — then O(1)-seek to the
+    // current stream position (a fresh reader already sits at 0).
+    if (reader) {
+      ingest_busy_acc += reader->assemble_busy_s();
+      ingest_exposed_acc += reader->exposed_wait_s();
     }
-    batches = std::make_unique<BatchIterator>(train, live_p * b, t.shuffle,
-                                              iter_seed);
-    for (Index s = iter_base; s < committed; ++s) (void)next_full();
+    data::ReaderOptions ro;
+    ro.replicas = live_p;
+    ro.batch_per_replica = b;
+    ro.shuffle = t.shuffle;
+    ro.seed = iter_seed;
+    ro.prefetch_depth = ingest.prefetch_depth;
+    reader = std::make_unique<data::IngestReader>(ingest_store, ro);
+    if (stream_position() > 0) {
+      reader->seek(reader->list().cursor_at(stream_position()));
+    }
   };
   reset_stream();
 
@@ -380,17 +356,11 @@ ResilientResult run_step_loop(const ModelFactory& factory,
                             " attempts; previous checkpoint kept");
         return;
       }
-      if (use_ingest) {
-        // v3: record the ingest stream position of the next batch so a
-        // restore can seek instead of replaying from the stream anchor.
-        const data::StreamCursor c =
-            reader->list().cursor_at(stream_position());
-        save_checkpoint(replicas[0], optimizers[0].get(), committed, c.epoch,
-                        c.step, iter_seed, options.checkpoint_path);
-      } else {
-        save_checkpoint(replicas[0], optimizers[0].get(), committed,
-                        options.checkpoint_path);
-      }
+      // v3: record the stream position of the next batch so a restore can
+      // seek instead of replaying from the stream anchor.
+      const data::StreamCursor c = reader->list().cursor_at(stream_position());
+      save_checkpoint(replicas[0], optimizers[0].get(), committed, c.epoch,
+                      c.step, iter_seed, options.checkpoint_path);
       last_ckpt_step = committed;
       ++result.checkpoints_written;
       return;
@@ -399,32 +369,25 @@ ResilientResult run_step_loop(const ModelFactory& factory,
 
   auto restore_checkpoint = [&](FaultKind why) {
     rebuild_fleet();
-    bool have_cursor = false;
-    data::StreamCursor ckpt_cursor;
-    std::uint64_t ckpt_seed = 0;
-    if (last_ckpt_step < 0) {
-      // No durable checkpoint yet: cold restart from the deterministic
-      // factory state (still bit-identical — same factory, same seed).
-      committed = 0;
-    } else {
+    // With no durable checkpoint yet, `meta` keeps its defaults: a cold
+    // restart at step 0 from the deterministic factory state (still
+    // bit-identical — same factory, same seed), with no cursor.
+    CheckpointMeta meta;
+    if (last_ckpt_step >= 0) {
       for (Index r = 0; r < live_p; ++r) {
-        const CheckpointMeta meta = load_checkpoint(
-            replicas[r], optimizers[r].get(), options.checkpoint_path);
-        committed = meta.step;
-        if (meta.has_cursor) {
-          have_cursor = true;
-          ckpt_cursor = {meta.cursor_epoch, meta.cursor_step};
-          ckpt_seed = meta.stream_seed;
-        }
+        meta = load_checkpoint(replicas[r], optimizers[r].get(),
+                               options.checkpoint_path);
       }
     }
+    committed = meta.step;
     step_loss.resize(static_cast<std::size_t>(committed));
-    if (use_ingest && have_cursor && ckpt_seed == iter_seed) {
+    if (meta.has_cursor && meta.stream_seed == iter_seed) {
       // O(1) resume: seek straight to the checkpointed cursor — no epoch
       // replay.  (Seed mismatch means the stream was re-anchored by a
       // shrink after this checkpoint; fall through to the rebuild below.)
-      iter_base = committed - reader->list().position(ckpt_cursor);
-      reader->seek(ckpt_cursor);
+      const data::StreamCursor c{meta.cursor_epoch, meta.cursor_step};
+      iter_base = committed - reader->list().position(c);
+      reader->seek(c);
     } else {
       if (committed < iter_base) iter_base = committed;  // re-anchor stream
       reset_stream();
@@ -447,22 +410,7 @@ ResilientResult run_step_loop(const ModelFactory& factory,
       next_ckpt = committed + k;
     }
 
-    const data::StepBatch* step_batch = nullptr;
-    if (use_ingest) {
-      step_batch = &reader->acquire();
-    } else {
-      Stopwatch ingest_clock;
-      const std::span<const Index> idx = next_full();
-      for (Index r = 0; r < live_p; ++r) {
-        gather_into(train,
-                    idx.subspan(static_cast<std::size_t>(r * b),
-                                static_cast<std::size_t>(b)),
-                    shard_bufs[static_cast<std::size_t>(r)]);
-      }
-      const double s = ingest_clock.seconds();
-      ingest_busy_acc += s;
-      ingest_exposed_acc += s;
-    }
+    const data::StepBatch& step_batch = reader->acquire();
     ++result.executed_steps;
     AttemptOutcome outcome;
     std::vector<float> rank_loss(static_cast<std::size_t>(live_p), 0.0f);
@@ -636,10 +584,8 @@ ResilientResult run_step_loop(const ModelFactory& factory,
         // step waited on (busy == exposed unless buckets overlap backward).
         double bwd_s = 0.0, busy_s = 0.0, exposed_s = 0.0;
         if (computes(role)) {
-          const Tensor& sx =
-              use_ingest ? step_batch->shards[i].x : shard_bufs[i].x;
-          const Tensor& sy =
-              use_ingest ? step_batch->shards[i].y : shard_bufs[i].y;
+          const Tensor& sx = step_batch.shards[i].x;
+          const Tensor& sy = step_batch.shards[i].y;
           const Tensor pred = m.forward(sx, /*training=*/true);
           rank_loss[i] = loss.value(pred, sy);
           Tensor dy = loss.grad(pred, sy);
@@ -780,7 +726,7 @@ ResilientResult run_step_loop(const ModelFactory& factory,
     for (auto& th : threads) th.join();
     // Hand the slot back before any recovery path runs: a seek() during
     // recovery requires no batch to be held.
-    if (use_ingest) reader->release();
+    reader->release();
     if (mode == MitigationMode::None) {
       double worst = 0.0;
       for (Index r = 0; r < live_p; ++r) {
@@ -941,10 +887,8 @@ ResilientResult run_step_loop(const ModelFactory& factory,
   }
 
   // Measured per-step means over every executed attempt.
-  if (use_ingest) {
-    ingest_busy_acc += reader->assemble_busy_s();
-    ingest_exposed_acc += reader->exposed_wait_s();
-  }
+  ingest_busy_acc += reader->assemble_busy_s();
+  ingest_exposed_acc += reader->exposed_wait_s();
   const double attempts = static_cast<double>(result.executed_steps);
   result.measured_backward_s = backward_acc / attempts;
   result.measured_comm_busy_s = busy_acc / attempts;

@@ -10,10 +10,11 @@
 // dead ranks surface as typed RankFailure from the failure-aware
 // collectives, and recovery either
 //
-//   * RESTARTS: every replica reloads the last checkpoint and the batch
-//     stream is replayed from it — bit-identical to a failure-free run,
-//     because checkpoints capture complete state and fault events are
-//     one-shot (the node that died stays dead); or
+//   * RESTARTS: every replica reloads the last checkpoint and the ingest
+//     reader seeks to the stream cursor the checkpoint records, with no
+//     replay — bit-identical to a failure-free run, because checkpoints
+//     capture complete state and fault events are one-shot (the node that
+//     died stays dead); or
 //   * SHRINKS: the communicator is rebuilt over the p-1 survivors
 //     (ULFM-style), gradient averaging is rescaled, and training continues
 //     elastically — statistically equivalent, not bit-identical.

@@ -60,7 +60,7 @@ double DynamicBatcher::predicted_wait_s() const {
 std::future<Response> DynamicBatcher::submit(Request req) {
   auto pending = std::make_shared<Pending>();
   std::future<Response> future = pending->promise.get_future();
-  std::lock_guard<std::mutex> lk(mu_);
+  std::unique_lock<std::mutex> lk(mu_);
   ++counters_.submitted;
   if (draining_) {
     pending->promise.set_value(shed_response(req, Outcome::ShedShutdown));
@@ -113,6 +113,10 @@ std::future<Response> DynamicBatcher::submit(Request req) {
   pending->request = std::move(req);
   pending->enqueued = Clock::now();
   queue_.push_back(std::move(pending));
+  // Wake a worker after unlocking, so it does not wake only to block on the
+  // mutex this thread still holds.  The row is already queued, so a worker
+  // that checks the queue in between takes it and no wake-up is lost.
+  lk.unlock();
   cv_consumer_.notify_one();
   return future;
 }

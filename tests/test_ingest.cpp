@@ -4,11 +4,10 @@
 // eviction under the reader's known order (the oracle, MIN's fetch count,
 // re-keying on seek and rebuild, the producer fetching beside its fetcher),
 // the double-buffered reader's bit-identity across prefetch depths / fetch
-// threads / seek-resume, the legacy path's allocation-free persistent
-// batch buffers, v3 checkpoint cursor round-trips, ingest-enabled
-// data-parallel and resilient training determinism (including crash/restart
-// mid-epoch), the hpcsim ingest drain law, and the serving feature-fetch
-// path.
+// threads / seek-resume, v3 checkpoint cursor round-trips, data-parallel and
+// resilient training determinism through the reader whatever the ingest
+// options (including crash/restart mid-epoch), the hpcsim ingest drain law,
+// and the serving feature-fetch path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -708,49 +707,6 @@ TEST(IngestReader, ProducerFetchesBesideItsFetcher) {
   reader.release();
 }
 
-// ---- legacy path: persistent buffers, unchanged stream ----------------------
-
-TEST(LegacyBatchPath, NextIndicesPreservesTheExactBatchStream) {
-  const Dataset d = blob_dataset(70, 13);
-  BatchIterator it_old(d, 16, true, 77);
-  BatchIterator it_new(d, 16, true, 77);
-  for (Index s = 0; s < 15; ++s) {  // crosses epochs, includes short tails
-    const Dataset via_next = it_old.next();
-    const std::span<const Index> idx = it_new.next_indices();
-    const Dataset via_gather = gather(d, idx);
-    EXPECT_EQ(via_next.x.shape(), via_gather.x.shape());
-    EXPECT_TRUE(std::equal(via_next.x.data(),
-                           via_next.x.data() + via_next.x.numel(),
-                           via_gather.x.data()));
-    EXPECT_TRUE(std::equal(via_next.y.data(),
-                           via_next.y.data() + via_next.y.numel(),
-                           via_gather.y.data()));
-    EXPECT_EQ(it_old.epoch(), it_new.epoch());
-  }
-}
-
-TEST(LegacyBatchPath, GatherIntoPersistentBuffersIsAllocationFree) {
-  const Dataset d = blob_dataset(64, 14);
-  BatchIterator it(d, 16, true, 5);
-  Dataset buf{Tensor({16, 6}), Tensor({16})};
-  const float* px = buf.x.data();
-  const float* py = buf.y.data();
-
-  gather_into(d, it.next_indices(), buf);  // warm
-  const std::uint64_t grow0 = workspace_stats().grow_count;
-  for (Index s = 0; s < 20; ++s) {
-    const std::span<const Index> idx = it.next_indices();
-    gather_into(d, idx, buf);
-    EXPECT_EQ(buf.x.data(), px);
-    EXPECT_EQ(buf.y.data(), py);
-    // Spot-check correctness against the allocating gather.
-    const Dataset want = gather(d, idx);
-    EXPECT_TRUE(std::equal(want.x.data(), want.x.data() + want.x.numel(),
-                           buf.x.data()));
-  }
-  EXPECT_EQ(workspace_stats().grow_count, grow0);
-}
-
 // ---- checkpoint v3 cursor ---------------------------------------------------
 
 TEST(CheckpointV3, StreamCursorRoundTripsAndPlainSaveStaysV2) {
@@ -832,15 +788,45 @@ TEST(IngestDataParallel, LegacyPathSurfacesDroppedTailToo) {
   o.replicas = 4;
   o.epochs = 1;
   o.batch_per_replica = 8;
-  o.seed = 31;  // ingest stays disabled: legacy BatchIterator path
+  o.seed = 31;  // ingest stays disabled: the reader in memory, depth 1
   const parallel::DataParallelResult res = parallel::train_data_parallel(
       model_factory(20), [] { return make_adam(5e-3f); }, d, xent, o);
   EXPECT_EQ(res.dropped_tail_samples, 8);
   EXPECT_EQ(res.steps, 6);
-  // Legacy assembly is inline: busy == exposed, overlap 0.
+  // Depth-1 assembly is inline: busy == exposed, overlap 0.
   EXPECT_GT(res.measured_ingest_busy_s, 0.0);
   EXPECT_DOUBLE_EQ(res.measured_ingest_busy_s, res.measured_exposed_ingest_s);
   EXPECT_EQ(res.measured_ingest_overlap_fraction, 0.0);
+}
+
+TEST(IngestDataParallel, IngestOffTrainsTheStreamIngestOnTrains) {
+  // Disabled ingest is the same reader in memory at depth 1, so it reads the
+  // stream every ingest setting reads: a store for 64 of the 200 rows, two
+  // fetch threads and a three-slot ring change no bit of training.
+  const Dataset d = blob_dataset(200, 23);  // global batch 32: 8-sample tail
+  SoftmaxCrossEntropy xent;
+  parallel::DataParallelOptions off = ingest_dp_options(1, 0);
+  off.epochs = 3;
+  off.ingest = parallel::IngestOptions{};  // enabled = false
+  parallel::DataParallelOptions on =
+      ingest_dp_options(/*depth=*/3, /*threads=*/2);
+  on.epochs = 3;
+  on.ingest.store_byte_budget = 64 * (6 + 1) * sizeof(float);  // 64 rows
+
+  Model off_model;
+  const parallel::DataParallelResult res_off = parallel::train_data_parallel(
+      model_factory(24), [] { return make_adam(5e-3f); }, d, xent, off,
+      &off_model);
+  Model on_model;
+  const parallel::DataParallelResult res_on = parallel::train_data_parallel(
+      model_factory(24), [] { return make_adam(5e-3f); }, d, xent, on,
+      &on_model);
+
+  EXPECT_EQ(res_off.steps, 18);  // 6 steps/epoch * 3 epochs
+  EXPECT_EQ(res_on.steps, res_off.steps);
+  EXPECT_EQ(res_on.epoch_loss, res_off.epoch_loss)
+      << "ingest settings must not change the sample order";
+  EXPECT_EQ(weights_of(on_model), weights_of(off_model));
 }
 
 parallel::ResilientOptions ingest_resilient_options(const std::string& tag,
@@ -893,6 +879,53 @@ TEST(IngestResilient, CrashRestartMidEpochBitIdenticalToFailureFree) {
       << "restart must resume the ingest stream at the checkpointed cursor";
   cleanup_ckpt("clean");
   cleanup_ckpt("faulted");
+}
+
+TEST(IngestResilient, IngestOffCheckpointsTheCursorAndSeeksToIt) {
+  // With ingest off the loop still reads through the reader: every
+  // checkpoint is v3 with the stream cursor, and a restore seeks to it.
+  const Dataset d = blob_dataset(256, 61);  // global 64: 4 steps/epoch
+  SoftmaxCrossEntropy xent;
+  auto opts = [](const std::string& tag) {
+    parallel::ResilientOptions o = ingest_resilient_options(tag, 1, 0);
+    o.train.ingest = parallel::IngestOptions{};  // enabled = false
+    return o;
+  };
+
+  const parallel::ResilientOptions clean_opts = opts("off_clean");
+  Model clean;
+  const parallel::ResilientResult res_clean = parallel::train_resilient(
+      model_factory(62), [] { return make_adam(5e-3f); }, d, xent, clean_opts,
+      &clean);
+  // 16 steps with a checkpoint every 3 leave the step-15 checkpoint: its
+  // next batch is epoch 3, step 3 of the run's stream.
+  Model probe = small_model(999);
+  const CheckpointMeta meta =
+      load_checkpoint(probe, nullptr, clean_opts.checkpoint_path);
+  EXPECT_EQ(meta.version, 3u);
+  EXPECT_TRUE(meta.has_cursor);
+  EXPECT_EQ(meta.step, 15);
+  EXPECT_EQ(meta.cursor_epoch, 3);
+  EXPECT_EQ(meta.cursor_step, 3);
+  EXPECT_EQ(meta.stream_seed, clean_opts.train.seed);
+
+  // Crash at step 5 — epoch 1, step 1 — so the restore seeks to the mid-
+  // epoch cursor of the step-3 checkpoint.
+  parallel::ResilientOptions faulted = opts("off_faulted");
+  faulted.faults.crash(5, 1);
+  Model recovered;
+  const parallel::ResilientResult res_faulted = parallel::train_resilient(
+      model_factory(62), [] { return make_adam(5e-3f); }, d, xent, faulted,
+      &recovered);
+
+  EXPECT_EQ(res_clean.committed_steps, 16);
+  EXPECT_EQ(res_faulted.committed_steps, 16);
+  EXPECT_EQ(res_faulted.restarts, 1);
+  EXPECT_EQ(res_faulted.epoch_loss, res_clean.epoch_loss);
+  EXPECT_EQ(weights_of(recovered), weights_of(clean))
+      << "restart must resume the stream at the checkpointed cursor";
+  cleanup_ckpt("off_clean");
+  cleanup_ckpt("off_faulted");
 }
 
 TEST(IngestResilient, ShrinkRecoveryBitIdenticalAcrossPrefetchConfigs) {

@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "biodata/workloads.hpp"
+#include "data/sample_list.hpp"
 #include "nn/metrics.hpp"
 #include "parallel/collectives.hpp"
 #include "parallel/data_parallel.hpp"
@@ -144,7 +145,7 @@ ModelFactory blob_model_factory(std::uint64_t seed) {
 TEST(DataParallel, EquivalentToSerialTraining) {
   // p replicas x shard-batch b == serial batch p*b: same weights after the
   // same number of steps (up to fp32 reduction reassociation).  200 samples
-  // leave an 8-sample tail, whose short batch both sides skip every epoch.
+  // leave an 8-sample tail, which the stream drops every epoch.
   for (const Index n : {Index{256}, Index{200}}) {
     const Dataset d = blob_dataset(n, 31);
     const Index p = 4, b = 16;
@@ -159,17 +160,16 @@ TEST(DataParallel, EquivalentToSerialTraining) {
         blob_model_factory(33), [] { return make_sgd(0.05f); }, d,
         SoftmaxCrossEntropy(), opts, &dp_model);
 
-    // Serial reference: identical batch stream (same iterator seed).
+    // Serial reference: the global batches of the stream the loop reads.
     Model serial = blob_model_factory(33)();
     SoftmaxCrossEntropy xent;
     Sgd opt(0.05f);
-    BatchIterator batches(d, p * b, /*shuffle=*/true, opts.seed);
-    const Index steps = (d.size() / (p * b)) * opts.epochs;
-    for (Index s = 0; s < steps;) {
-      const Dataset batch = batches.next();
-      if (batch.size() < p * b) continue;  // the epoch's short tail batch
-      serial.train_batch(batch.x, batch.y, xent, opt);
-      ++s;
+    data::ShardedSampleList stream(n, p, b, /*shuffle=*/true, opts.seed);
+    for (Index e = 0; e < opts.epochs; ++e) {
+      for (Index s = 0; s < stream.steps_per_epoch(); ++s) {
+        const Dataset batch = gather(d, stream.global(e, s));
+        serial.train_batch(batch.x, batch.y, xent, opt);
+      }
     }
 
     std::vector<float> w_dp(static_cast<std::size_t>(serial.num_params()));
