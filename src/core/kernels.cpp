@@ -354,9 +354,41 @@ void compute_tile(const PanelCtx& ctx, const float* ap, const float* bp,
   }
 }
 
-// Process micro-panel strips [s0, s1): pack the corresponding A rows into
-// this thread's arena (kMC rows at a time, preserving L2 blocking even when
-// a chunk is larger) and run the micro-kernel across the B panel.
+// Run every strip of a packed A block (C rows [r0, r0 + mc)) over the B
+// micro-panels holding panel columns [j0, j1).  Each C tile is computed by
+// the same kernel whichever path owns it, so the strip and column splits
+// below agree bit for bit.
+void compute_block(const PanelCtx& ctx, const float* apack, Index r0,
+                   Index mc, Index j0, Index j1) {
+  for (Index jr = j0; jr < j1; jr += kNR) {
+    const Index nr = std::min<Index>(kNR, j1 - jr);
+    const float* bp = ctx.bpack + jr * ctx.kc;
+    for (Index ir = 0; ir < mc; ir += kMR) {
+      const Index mr = std::min<Index>(kMR, mc - ir);
+      const float* ap = apack + ir * ctx.kc;
+      const Index row0 = r0 + ir;
+      const Index col0 = ctx.jc + jr;
+      // A short strip (only C's last one can be short) runs the smallest
+      // kernel that covers its live rows.
+      if (mr == kMR) {
+        compute_tile<kMR>(ctx, ap, bp, mr, nr, row0, col0);
+      } else if (mr == 1) {
+        compute_tile<1>(ctx, ap, bp, mr, nr, row0, col0);
+      } else if (mr == 2) {
+        compute_tile<2>(ctx, ap, bp, mr, nr, row0, col0);
+      } else if (mr <= 4) {
+        compute_tile<4>(ctx, ap, bp, mr, nr, row0, col0);
+      } else {
+        compute_tile<kMR>(ctx, ap, bp, mr, nr, row0, col0);
+      }
+    }
+  }
+}
+
+// Strip split: process micro-panel strips [s0, s1) — pack the corresponding
+// A rows into this thread's arena (kMC rows at a time, preserving L2
+// blocking even when a chunk is larger) and run them across the whole
+// packed B panel.
 template <typename Round>
 void compute_strips(const PanelCtx& ctx, Round rnd, Index s0, Index s1) {
   WorkspaceArena& arena = WorkspaceArena::local();
@@ -369,31 +401,27 @@ void compute_strips(const PanelCtx& ctx, Round rnd, Index s0, Index s1) {
     const Index r0 = sb * kMR;
     const Index mc = std::min(sb_end * kMR, ctx.m) - r0;
     pack_a(*ctx.a, r0, mc, ctx.pc, ctx.kc, ctx.alpha, rnd, apack);
-    for (Index jr = 0; jr < ctx.nc; jr += kNR) {
-      const Index nr = std::min<Index>(kNR, ctx.nc - jr);
-      const float* bp = ctx.bpack + jr * ctx.kc;
-      for (Index s = sb; s < sb_end; ++s) {
-        const Index ir = (s - sb) * kMR;
-        const Index mr = std::min<Index>(kMR, ctx.m - (r0 + ir));
-        const float* ap = apack + ir * ctx.kc;
-        const Index row0 = r0 + ir;
-        const Index col0 = ctx.jc + jr;
-        // A short strip (only C's last one can be short) runs the smallest
-        // kernel that covers its live rows.
-        if (mr == kMR) {
-          compute_tile<kMR>(ctx, ap, bp, mr, nr, row0, col0);
-        } else if (mr == 1) {
-          compute_tile<1>(ctx, ap, bp, mr, nr, row0, col0);
-        } else if (mr == 2) {
-          compute_tile<2>(ctx, ap, bp, mr, nr, row0, col0);
-        } else if (mr <= 4) {
-          compute_tile<4>(ctx, ap, bp, mr, nr, row0, col0);
-        } else {
-          compute_tile<kMR>(ctx, ap, bp, mr, nr, row0, col0);
-        }
-      }
-    }
+    compute_block(ctx, apack, r0, mc, 0, ctx.nc);
   }
+}
+
+// Column split (m <= kMC, B packed per call): this lane owns B micro-panels
+// [q0, q1) of the (jc, pc) panel.  It packs that slice of B into its part of
+// the shared panel buffer `bpack` (lanes write disjoint slices and read only
+// their own), packs its own copy of the single A block, and runs every
+// strip over the slice.
+template <typename SrcB, typename Round>
+void compute_cols(const PanelCtx& ctx, const SrcB& bsrc, float* bpack,
+                  Round rnd, Index q0, Index q1) {
+  const Index j0 = q0 * kNR;
+  const Index j1 = std::min(q1 * kNR, ctx.nc);
+  pack_b(bsrc, ctx.pc, ctx.kc, ctx.jc + j0, j1 - j0, rnd, bpack + j0 * ctx.kc);
+  WorkspaceArena& arena = WorkspaceArena::local();
+  WorkspaceArena::Scope scope(arena);
+  float* apack = arena.alloc<float>(
+      static_cast<std::size_t>(round_up(ctx.m, kMR) * ctx.kc));
+  pack_a(*ctx.a, 0, ctx.m, ctx.pc, ctx.kc, ctx.alpha, rnd, apack);
+  compute_block(ctx, apack, 0, ctx.m, j0, j1);
 }
 
 // beta-scale + epilogue over all of C: the k == 0 / alpha == 0 degenerate
@@ -424,11 +452,17 @@ struct PrepackedSrcB {
   const PackedMatrix* b;
 };
 
-// The BLIS-style engine: take B per (jc, pc) panel — packed here on the
-// calling thread, or pre-packed — then fan the micro-panel strips out over
-// the pool (or run them inline for the serial tier).  The grain is
-// flop-derived so cheap strips coalesce instead of degenerating to one
-// strip per steal.
+// The BLIS-style engine, per (jc, pc) panel of B.  Pre-packed B is read in
+// place; otherwise B is packed per call.  The threaded tier then splits the
+// panel one of two ways:
+//  * columns, when A is one packed block (m <= kMC) and B is packed here:
+//    each lane packs its own slice of B's micro-panels and its own copy of
+//    the A block, so the pack runs on every lane and no lane streams the
+//    whole B panel (the batch-sized GEMMs of a training step);
+//  * strips otherwise: B is packed on the calling thread and the pool
+//    shares out A's micro-panel strips.  The grain is flop-derived so cheap
+//    strips coalesce instead of degenerating to one strip per steal.
+// The serial tier runs the strip path inline.
 template <typename SrcB, typename Round>
 void gemm_packed(const MatView& a, const SrcB& bsrc, Index m, Index n,
                  Index k, float alpha, float beta, float* c, Index ldc,
@@ -439,6 +473,7 @@ void gemm_packed(const MatView& a, const SrcB& bsrc, Index m, Index n,
   WorkspaceArena& arena = WorkspaceArena::local();
   WorkspaceArena::Scope scope(arena);
   const Index nstrips = (m + kMR - 1) / kMR;
+  const bool split_cols = threads && m <= kMC;  // B packed per call only
   float* bpack = nullptr;
   if constexpr (!prepacked) {
     const Index nc_max = std::min<Index>(kNC, round_up(n, kNR));
@@ -450,14 +485,31 @@ void gemm_packed(const MatView& a, const SrcB& bsrc, Index m, Index n,
     for (Index pc = 0; pc < k; pc += kKC) {
       const Index kc = std::min<Index>(kKC, k - pc);
       const float* bp = bpack;
-      if constexpr (prepacked) {
-        bp = bsrc.b->panel(jc, pc);
-      } else {
-        pack_b(bsrc, pc, kc, jc, nc, rnd, bpack);
-      }
+      if constexpr (prepacked) bp = bsrc.b->panel(jc, pc);
       PanelCtx ctx{&a,    bp, c,  m,       ldc,  pc,
                    kc,    jc, nc, alpha,   beta, pc == 0,
                    pc + kc >= k, &ep};
+      if constexpr (!prepacked) {
+        if (split_cols) {
+          // One chunk per lane unless the panel is too small to pay for
+          // the dispatch; a lane that takes a second chunk packs A again.
+          const Index panels = (nc + kNR - 1) / kNR;
+          const auto lanes = static_cast<Index>(parallel_lanes());
+          const double flops_per_panel = 2.0 * static_cast<double>(m) *
+                                         static_cast<double>(kc) *
+                                         static_cast<double>(kNR);
+          const Index grain =
+              std::max<Index>((panels + lanes - 1) / lanes,
+                              grain_for_flops(panels, flops_per_panel));
+          const auto cols = [&](Index q0, Index q1) {
+            compute_cols(ctx, bsrc, bpack, Round{}, q0, q1);
+          };
+          parallel_for(0, panels, grain,
+                       [&cols](Index q0, Index q1) { cols(q0, q1); });
+          continue;
+        }
+        pack_b(bsrc, pc, kc, jc, nc, rnd, bpack);
+      }
       if (threads) {
         const double flops_per_strip =
             2.0 * static_cast<double>(kMR) * static_cast<double>(kc) *

@@ -4,8 +4,10 @@
 // Three GEMM tiers exist on purpose (ablated by bench_kernels):
 //   gemm_naive    — textbook ijk dot products; the correctness reference.
 //   gemm_serial   — the packed micro-kernel GEMM pinned to one thread.
-//   gemm          — the packed micro-kernel GEMM parallelized over row
-//                   panels via the runtime thread pool.  The production
+//   gemm          — the packed micro-kernel GEMM parallelized over the
+//                   runtime thread pool's lanes: by B's column panels when
+//                   the product has at most MC rows and B is packed per
+//                   call, by A's row strips otherwise.  The production
 //                   kernel.
 //
 // The production tiers share one BLIS-style engine: operands are packed into

@@ -91,6 +91,8 @@ SampleStore::SampleStore(SampleSource& source,
   entry_bytes_ =
       static_cast<std::size_t>(x_elems_ + y_elems_) * sizeof(float);
   CANDLE_CHECK(entry_bytes_ > 0, "source has zero-byte samples");
+  holds_all_ = options.byte_budget / entry_bytes_ >=
+               static_cast<std::size_t>(source.size());
   fetchers_.reserve(static_cast<std::size_t>(options.fetch_threads));
   for (Index i = 0; i < options.fetch_threads; ++i) {
     fetchers_.emplace_back([this] { fetcher_loop(); });
@@ -116,6 +118,7 @@ std::vector<float> SampleStore::take_buffer_locked() {
 }
 
 Index SampleStore::key_locked(Index sample, ReadAt at, bool after_read) {
+  if (holds_all_) return 0;
   if (!order_) return -++uses_;
   if (at.ticket != ticket_) return NextUseOracle::kNever;
   return after_read ? order_->next_read(sample, at.pos + 1) : at.pos;
@@ -179,7 +182,7 @@ void SampleStore::read(Index sample, std::span<float> x, std::span<float> y,
     if (it != cache_.end()) {
       ++stats_.hits;
       // A read with no position in the followed order leaves the key alone.
-      if (!order_ || follows_locked(at)) {
+      if (!holds_all_ && (!order_ || follows_locked(at))) {
         rekey_locked(it->second, key_locked(sample, at, true));
       }
       copy_out(it->second.xy.data());
@@ -230,7 +233,7 @@ void SampleStore::prefetch(std::span<const Index> samples, ReadAt first) {
   bool queued_any = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const bool keyed = follows_locked(first);
+    const bool keyed = !holds_all_ && follows_locked(first);
     for (std::size_t i = 0; i < samples.size(); ++i) {
       const Index s = samples[i];
       const ReadAt at{first.ticket, first.pos + static_cast<Index>(i)};
@@ -254,6 +257,7 @@ std::uint64_t SampleStore::follow(NextUseOracle order, Index pos) {
   std::lock_guard<std::mutex> lock(mu_);
   order_.emplace(std::move(order));
   ++ticket_;
+  if (holds_all_) return ticket_;
   // Keys of the old order (or LRU ages) mean nothing in the new one: an
   // entry left keyed at a read that has passed would never be evicted.
   by_key_.clear();

@@ -16,7 +16,8 @@
 //     I/O" (SC'21).  A synchronous cyclic scan over n samples with room
 //     for C then fetches n + (E - 1)(n - C) times in E epochs, where LRU
 //     fetches on every read.  Callers that state no order (serving's id
-//     lookups) get LRU: the key is the age of the last use;
+//     lookups) get LRU: the key is the age of the last use.  A budget that
+//     holds the whole source never evicts, so such a store keys nothing;
 //   * background fetchers — prefetch() queues upcoming indices to a small
 //     fetch-thread pool, so misses resolve concurrently with the caller's
 //     own assembly work instead of serializing in front of it.  A caller
@@ -220,6 +221,9 @@ class SampleStore {
   SampleStoreOptions options_;
   Index x_elems_, y_elems_;
   std::size_t entry_bytes_;
+  // The byte budget holds every sample of the source, so nothing is ever
+  // evicted and entries are not keyed (every key is 0).
+  bool holds_all_;
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;   // fetchers: queue non-empty or stop

@@ -53,11 +53,11 @@ Tensor Dense::infer(const Tensor& x) const {
   return y;
 }
 
-Tensor Dense::backward(const Tensor& dy) {
+void Dense::backward_params(const Tensor& dy) {
   const Index batch = batch_of(dy);
   CANDLE_CHECK(dy.dim(1) == units_ && x_cache_.dim(0) == batch,
                "Dense backward shape mismatch");
-  // dW = x^T dy ; db = column sums of dy ; dx = dy W^T.
+  // dW = x^T dy ; db = column sums of dy.
   matmul_into(dw_, x_cache_, Op::Transpose, dy, Op::None, 1.0f, 0.0f,
               precision_);
   db_.fill(0.0f);
@@ -65,7 +65,12 @@ Tensor Dense::backward(const Tensor& dy) {
     const float* dyrow = dy.data() + i * units_;
     for (Index j = 0; j < units_; ++j) db_[j] += dyrow[j];
   }
-  Tensor dx({batch, in_});
+}
+
+Tensor Dense::backward(const Tensor& dy) {
+  backward_params(dy);
+  // dx = dy W^T.
+  Tensor dx({dy.dim(0), in_});
   matmul_into(dx, dy, Op::None, w_, Op::Transpose, 1.0f, 0.0f, precision_);
   return dx;
 }

@@ -49,6 +49,11 @@ class Layer {
   /// dLoss/dInput.  Must be called after a forward on the same batch.
   virtual Tensor backward(const Tensor& dy) = 0;
 
+  /// backward() for a layer whose dLoss/dInput nobody reads (a model's
+  /// first layer): fills the same parameter grads.  Layers that can skip
+  /// the input-gradient math override it.
+  virtual void backward_params(const Tensor& dy) { (void)backward(dy); }
+
   /// Trainable parameter tensors (empty for stateless layers).
   virtual std::vector<Tensor*> params() { return {}; }
 
@@ -82,6 +87,8 @@ class Dense : public Layer {
   Tensor forward(const Tensor& x, bool training) override;
   Tensor infer(const Tensor& x) const override;
   Tensor backward(const Tensor& dy) override;
+  /// dW and db only: skips the dx = dy W^T GEMM.
+  void backward_params(const Tensor& dy) override;
   std::vector<Tensor*> params() override { return {&w_, &b_}; }
   std::vector<Tensor*> grads() override { return {&dw_, &db_}; }
   double flops_per_sample() const override {

@@ -44,16 +44,20 @@ Tensor Model::infer(const Tensor& x) const {
   return h;
 }
 
-Tensor Model::backward(const Tensor& dy) { return backward(dy, nullptr); }
+void Model::backward(const Tensor& dy) { backward(dy, nullptr); }
 
-Tensor Model::backward(const Tensor& dy, const GradReadyHook& on_grad_ready) {
+void Model::backward(const Tensor& dy, const GradReadyHook& on_grad_ready) {
   CANDLE_CHECK(built_, "call build() before backward()");
   Tensor d = dy;
   for (Index i = num_layers() - 1; i >= 0; --i) {
-    d = layers_[static_cast<std::size_t>(i)]->backward(d);
+    Layer& layer = *layers_[static_cast<std::size_t>(i)];
+    if (i > 0) {
+      d = layer.backward(d);
+    } else {
+      layer.backward_params(d);
+    }
     if (on_grad_ready) on_grad_ready(i);
   }
-  return d;
 }
 
 float Model::train_batch(const Tensor& x, const Tensor& y, const Loss& loss,

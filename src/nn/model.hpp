@@ -52,8 +52,10 @@ class Model {
   /// path — they share one immutable weight set instead of copying it.
   Tensor infer(const Tensor& x) const;
 
-  /// Backward pass: dLoss/dOutput in, dLoss/dInput out; fills layer grads.
-  Tensor backward(const Tensor& dy);
+  /// Backward pass: dLoss/dOutput in; fills layer grads.  The first layer
+  /// computes its parameter grads only (Layer::backward_params), since
+  /// nothing reads dLoss/dInput.
+  void backward(const Tensor& dy);
 
   /// Invoked during the hooked backward as each layer's parameter gradients
   /// become final.  Layers are reported in reverse order (deepest first),
@@ -64,7 +66,7 @@ class Model {
 
   /// Backward pass that reports per-layer gradient readiness.  Numerically
   /// identical to the monolithic backward(); the hook only observes.
-  Tensor backward(const Tensor& dy, const GradReadyHook& on_grad_ready);
+  void backward(const Tensor& dy, const GradReadyHook& on_grad_ready);
 
   /// One optimizer step on a batch; returns the batch loss.  `loss_scale`
   /// multiplies the loss gradient before backprop and divides the parameter

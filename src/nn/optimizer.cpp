@@ -3,8 +3,69 @@
 #include <cmath>
 
 #include "runtime/error.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace candle {
+
+namespace {
+
+// The elementwise updates run in fixed-size chunks over the pool's lanes.
+// Every element's arithmetic is independent of the others, so neither the
+// chunking nor the vector width can change a value: results are
+// bit-identical to the serial scalar loop.  Two things let the range loops
+// vectorize: they read the hyperparameters as locals (members read through
+// `this` may alias the float arrays), and this file is built with
+// -fno-math-errno (src/CMakeLists.txt), so std::sqrt is an instruction
+// rather than a call that may set errno.
+constexpr Index kUpdateChunk = Index{1} << 15;
+
+struct RmsPropArgs {
+  float* w;
+  const float* g;
+  float* s;
+  float lr, rho, eps;
+};
+
+void rmsprop_range(const RmsPropArgs& a, Index lo, Index hi) {
+  float* w = a.w;
+  const float* g = a.g;
+  float* s = a.s;
+  const float lr = a.lr, rho = a.rho, eps = a.eps;
+  const float one_minus_rho = 1.0f - rho;
+  for (Index i = lo; i < hi; ++i) {
+    s[i] = rho * s[i] + one_minus_rho * g[i] * g[i];
+    w[i] -= lr * g[i] / (std::sqrt(s[i]) + eps);
+  }
+}
+
+struct AdamArgs {
+  float* w;
+  const float* g;
+  float* m;
+  float* v;
+  float lr, beta1, beta2, eps;
+  float bc1, bc2;  // bias corrections 1 - beta^t
+};
+
+void adam_range(const AdamArgs& a, Index lo, Index hi) {
+  float* w = a.w;
+  const float* g = a.g;
+  float* m = a.m;
+  float* v = a.v;
+  const float lr = a.lr, beta1 = a.beta1, beta2 = a.beta2, eps = a.eps;
+  const float bc1 = a.bc1, bc2 = a.bc2;
+  const float one_minus_beta1 = 1.0f - beta1;
+  const float one_minus_beta2 = 1.0f - beta2;
+  for (Index i = lo; i < hi; ++i) {
+    m[i] = beta1 * m[i] + one_minus_beta1 * g[i];
+    v[i] = beta2 * v[i] + one_minus_beta2 * g[i] * g[i];
+    const float mhat = m[i] / bc1;
+    const float vhat = v[i] / bc2;
+    w[i] -= lr * mhat / (std::sqrt(vhat) + eps);
+  }
+}
+
+}  // namespace
 
 void Optimizer::step(std::span<Tensor* const> params,
                      std::span<Tensor* const> grads) {
@@ -148,13 +209,10 @@ void RmsProp::update(std::size_t slot, Tensor& param, const Tensor& grad) {
   if (sq_.size() <= slot) sq_.resize(slot + 1);
   Tensor& s = sq_[slot];
   if (!s.same_shape(param)) s = Tensor::zeros(param.shape());
-  float* sp = s.data();
-  float* wp = param.data();
-  const float* gp = grad.data();
-  for (Index i = 0; i < param.numel(); ++i) {
-    sp[i] = rho_ * sp[i] + (1.0f - rho_) * gp[i] * gp[i];
-    wp[i] -= lr_ * gp[i] / (std::sqrt(sp[i]) + eps_);
-  }
+  const RmsPropArgs args{param.data(), grad.data(), s.data(), lr_, rho_,
+                         eps_};
+  parallel_for(0, param.numel(), kUpdateChunk,
+               [&args](Index lo, Index hi) { rmsprop_range(args, lo, hi); });
 }
 
 void Adam::update(std::size_t slot, Tensor& param, const Tensor& grad) {
@@ -172,17 +230,10 @@ void Adam::update(std::size_t slot, Tensor& param, const Tensor& grad) {
   const long t = ++t_[slot];
   const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t));
   const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t));
-  float* mp = m.data();
-  float* vp = v.data();
-  float* wp = param.data();
-  const float* gp = grad.data();
-  for (Index i = 0; i < param.numel(); ++i) {
-    mp[i] = beta1_ * mp[i] + (1.0f - beta1_) * gp[i];
-    vp[i] = beta2_ * vp[i] + (1.0f - beta2_) * gp[i] * gp[i];
-    const float mhat = mp[i] / bc1;
-    const float vhat = vp[i] / bc2;
-    wp[i] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-  }
+  const AdamArgs args{param.data(), grad.data(), m.data(), v.data(), lr_,
+                      beta1_,       beta2_,      eps_,     bc1,      bc2};
+  parallel_for(0, param.numel(), kUpdateChunk,
+               [&args](Index lo, Index hi) { adam_range(args, lo, hi); });
 }
 
 std::unique_ptr<Optimizer> make_sgd(float lr) {

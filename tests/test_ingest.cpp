@@ -316,6 +316,69 @@ TEST(SampleStore, PrefetchWarmsTheCacheInBackground) {
   EXPECT_EQ(st.misses, 0u);
 }
 
+TEST(SampleStore, WholeSourceBudgetServesTheSameWithOrWithoutAnOrder) {
+  // A budget that holds every sample never evicts, so the store keys
+  // nothing: following the read order (positioned prefetches and reads, as
+  // the reader makes them) changes neither the bytes served nor the counts.
+  // One entry less, and the followed order evicts.
+  const Index n = 48, gb = 8, epochs = 3;
+  const Dataset d = blob_dataset(n, 51);
+  const std::size_t entry_bytes = sizeof(float) * (6 + 1);
+  struct Served {
+    std::vector<float> bytes;
+    data::SampleStoreStats stats;
+  };
+  const auto serve = [&](Index room, bool follow) {
+    data::DatasetSource src(d);
+    data::SampleStoreOptions so;
+    so.fetch_threads = 0;
+    so.byte_budget = static_cast<std::size_t>(room) * entry_bytes;
+    data::SampleStore store(src, so);
+    data::ShardedSampleList list(n, 2, gb / 2, true, 9);
+    const std::uint64_t ticket =
+        follow ? store.follow(data::NextUseOracle(n, gb, true, 9), 0) : 0;
+    Served out;
+    std::vector<float> x(6), y(1);
+    for (Index e = 0; e < epochs; ++e) {
+      for (Index s = 0; s < list.steps_per_epoch(); ++s) {
+        const std::span<const Index> ids = list.global(e, s);
+        const Index pos = (e * list.steps_per_epoch() + s) * gb;
+        store.prefetch(ids, {ticket, pos});
+        for (Index i = 0; i < gb; ++i) {
+          store.get(ids[static_cast<std::size_t>(i)], x, y, {ticket, pos + i});
+          out.bytes.insert(out.bytes.end(), x.begin(), x.end());
+          out.bytes.push_back(y[0]);
+        }
+      }
+    }
+    out.stats = store.stats();
+    return out;
+  };
+  std::vector<float> want;
+  data::ShardedSampleList list(n, 2, gb / 2, true, 9);
+  for (Index e = 0; e < epochs; ++e) {
+    for (Index s = 0; s < list.steps_per_epoch(); ++s) {
+      for (const Index id : list.global(e, s)) {
+        for (Index j = 0; j < 6; ++j) want.push_back(d.x.at(id, j));
+        want.push_back(d.y[id]);
+      }
+    }
+  }
+  const Served lru = serve(n, false);
+  const Served min = serve(n, true);
+  EXPECT_EQ(lru.bytes, want);
+  EXPECT_EQ(min.bytes, want);
+  EXPECT_EQ(lru.stats.misses, static_cast<std::uint64_t>(n));
+  EXPECT_EQ(lru.stats.hits, static_cast<std::uint64_t>((epochs - 1) * n));
+  EXPECT_EQ(min.stats.hits, lru.stats.hits);
+  EXPECT_EQ(min.stats.misses, lru.stats.misses);
+  EXPECT_EQ(lru.stats.evictions, 0u);
+  EXPECT_EQ(min.stats.evictions, 0u);
+  const Served short_min = serve(n - 1, true);
+  EXPECT_EQ(short_min.bytes, want);
+  EXPECT_GT(short_min.stats.evictions, 0u);
+}
+
 // ---- ingest reader ----------------------------------------------------------
 
 TEST(IngestReader, BitIdenticalAcrossPrefetchDepthsAndFetchThreads) {

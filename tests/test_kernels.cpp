@@ -1,7 +1,9 @@
 // Unit + property tests for the dense kernels: all GEMM tiers agree with the
 // naive reference across shapes/transposes, GEMV matches GEMM, im2col/col2im
 // are mutually adjoint, precision-emulated GEMM obeys format error bounds,
-// and pre-packed and short-strip GEMMs are bit-identical to the packed path.
+// pre-packed and short-strip GEMMs are bit-identical to the packed path, and
+// the column split of batch-sized GEMMs is bit-identical to the serial strip
+// path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -737,6 +739,184 @@ TEST(GemmRowIndependence, RowsMatchAcrossBatchSizes) {
         }
       }
     }
+  }
+}
+
+// ---- the column split of batch-sized GEMMs ----------------------------------
+
+// op(A) (m x k) and op(B) (k x n), each stored as its op says.
+struct Operands {
+  Tensor a, b;
+  Index lda, ldb;
+};
+
+Operands operands(Op op_a, Op op_b, Index m, Index n, Index k, Pcg32& rng) {
+  const auto random = [&](Index r, Index c) {
+    return Tensor::uniform({r, c}, rng, -2.0f, 2.0f);
+  };
+  Operands o;
+  o.a = op_a == Op::None ? random(m, k) : random(k, m);
+  o.b = op_b == Op::None ? random(k, n) : random(n, k);
+  o.lda = o.a.dim(1);
+  o.ldb = o.b.dim(1);
+  return o;
+}
+
+// The strip path pinned to one thread (gemm_serial) on operands already
+// rounded through the format — the emulated path rounds the same values
+// while packing — followed by the scalar epilogue, which the fused C-write
+// matches bit for bit.
+Tensor serial_strip_reference(Op op_a, Op op_b, Index m, Index n, Index k,
+                              float alpha, const Operands& rounded,
+                              float beta, const Tensor& c_init,
+                              const Epilogue& ep) {
+  Tensor c = c_init;
+  gemm_serial(op_a, op_b, m, n, k, alpha, rounded.a.data(), rounded.lda,
+              rounded.b.data(), rounded.ldb, beta, c.data(), n);
+  for (Index i = 0; i < m; ++i) {
+    for (Index j = 0; j < n; ++j) {
+      float v = c.at(i, j);
+      if (ep.bias != nullptr) {
+        v += ep.bias[ep.bias_axis == Epilogue::BiasAxis::Row ? i : j];
+      }
+      c.at(i, j) = reference_act(ep.act, v);
+    }
+  }
+  return c;
+}
+
+// A GEMM with at most kMC (128) rows whose B is packed per call splits each
+// B panel over the lanes by columns: each lane packs its slice of B and its
+// own copy of the A block.  Every C element still accumulates the same
+// products in the same order, so the threaded result equals the serial
+// strip path bit for bit, for every op combination, beta, epilogue and
+// rounding format.  n = 45 is a multiple of no NR, k = 300 spans two k
+// blocks, n = 4096 + 37 spans two column blocks (small m only, to keep it
+// quick), and m = 129 takes the strip path as the control.
+TEST(GemmColumnSplit, BitIdenticalToTheSerialStripPath) {
+  Pcg32 rng(0xC015);
+  const Index k = 300;
+  const float alpha = 0.75f;
+  for (const Precision prec :
+       {Precision::FP32, Precision::FP16, Precision::BF16}) {
+    for (const Index n : {45, 4096 + 37}) {
+      const bool wide = n > 4096;
+      std::vector<Index> ms = {1,  2,  3,  4,  5,   7,   8,  9,
+                               17, 63, 64, 65, 127, 128, 129};
+      if (wide) ms = {1, 9};
+      Tensor col_bias = Tensor::randn({n}, rng);
+      for (const Index m : ms) {
+        Tensor row_bias = Tensor::randn({m}, rng);
+        std::vector<Epilogue> eps;
+        for (const Epilogue::Act act :
+             {Epilogue::Act::None, Epilogue::Act::ReLU,
+              Epilogue::Act::Sigmoid, Epilogue::Act::Tanh}) {
+          for (const int bias : {0, 1, 2}) {  // none, column, row
+            // Every act with every bias for fp32 at n = 45; otherwise each
+            // act once, with the three bias kinds spread over them.
+            const bool full = !wide && prec == Precision::FP32;
+            if (!full && bias != static_cast<int>(act) % 3) continue;
+            Epilogue ep;
+            ep.act = act;
+            ep.bias = bias == 0   ? nullptr
+                      : bias == 1 ? col_bias.data()
+                                  : row_bias.data();
+            ep.bias_axis = bias == 2 ? Epilogue::BiasAxis::Row
+                                     : Epilogue::BiasAxis::Column;
+            eps.push_back(ep);
+          }
+        }
+        const Tensor c_init = random_matrix(m, n, rng);
+        for (const Op op_a : {Op::None, Op::Transpose}) {
+          for (const Op op_b : {Op::None, Op::Transpose}) {
+            const Operands o = operands(op_a, op_b, m, n, k, rng);
+            Operands rounded = o;
+            round_through(prec, rounded.a.flat());
+            round_through(prec, rounded.b.flat());
+            for (const float beta : {0.0f, 0.6f}) {
+              for (const Epilogue& ep : eps) {
+                const Tensor want = serial_strip_reference(
+                    op_a, op_b, m, n, k, alpha, rounded, beta, c_init, ep);
+                Tensor got = c_init;
+                gemm_emulated(prec, op_a, op_b, m, n, k, alpha, o.a.data(),
+                              o.lda, o.b.data(), o.ldb, beta, got.data(), n,
+                              ep);
+                ASSERT_EQ(std::memcmp(want.data(), got.data(),
+                                      sizeof(float) * want.numel()),
+                          0)
+                    << precision_name(prec) << " m=" << m << " n=" << n
+                    << " op_a=" << (op_a == Op::Transpose)
+                    << " op_b=" << (op_b == Op::Transpose)
+                    << " beta=" << beta
+                    << " act=" << static_cast<int>(ep.act)
+                    << " bias=" << (ep.bias != nullptr)
+                    << " row=" << (ep.bias_axis == Epilogue::BiasAxis::Row);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The im2col sources unfold into each lane's slice of the B panel at the
+// slice's first column, so a convolution wide enough to split equals the
+// serial strip path over the explicit im2col matrix, bit for bit.
+TEST(GemmColumnSplit, ConvUnfoldIntoLaneSlicesMatchesSerialIm2col) {
+  Pcg32 rng(0xC016);
+  const Index channels = 4, height = 41, width = 37, kernel = 3, stride = 1;
+  const Index filters = 16;
+  const Index hout = conv_out_length(height, kernel, stride);
+  const Index wout = conv_out_length(width, kernel, stride);
+  const Index ncols = hout * wout;
+  const Index fan_in = channels * kernel * kernel;
+  Tensor x = Tensor::randn({channels, height, width}, rng);
+  Tensor w = Tensor::randn({filters, fan_in}, rng);
+  Tensor bias = Tensor::randn({filters}, rng);
+  for (const Precision prec : {Precision::FP32, Precision::BF16}) {
+    Tensor xr = x;
+    Tensor wr = w;
+    round_through(prec, xr.flat());
+    round_through(prec, wr.flat());
+    std::vector<float> cols(static_cast<std::size_t>(fan_in * ncols));
+    im2col_2d(xr.data(), channels, height, width, kernel, stride, cols.data());
+    Tensor want({filters, ncols});
+    gemm_serial(Op::None, Op::None, filters, ncols, fan_in, 1.0f, wr.data(),
+                fan_in, cols.data(), ncols, 0.0f, want.data(), ncols);
+    for (Index f = 0; f < filters; ++f) {
+      for (Index j = 0; j < ncols; ++j) want.at(f, j) += bias[f];
+    }
+    Tensor got({filters, ncols});
+    conv2d_forward_gemm(prec, x.data(), channels, height, width, kernel,
+                        stride, w.data(), filters, bias.data(), got.data());
+    EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                          sizeof(float) * want.numel()),
+              0)
+        << precision_name(prec);
+
+    const Index length = height * width;
+    const Index lout = conv_out_length(length, kernel, stride);
+    const Index fan_in_1d = channels * kernel;
+    Tensor w1 = Tensor::randn({filters, fan_in_1d}, rng);
+    Tensor w1r = w1;
+    round_through(prec, w1r.flat());
+    std::vector<float> cols_1d(static_cast<std::size_t>(fan_in_1d * lout));
+    im2col_1d(xr.data(), channels, length, kernel, stride, cols_1d.data());
+    Tensor want_1d({filters, lout});
+    gemm_serial(Op::None, Op::None, filters, lout, fan_in_1d, 1.0f,
+                w1r.data(), fan_in_1d, cols_1d.data(), lout, 0.0f,
+                want_1d.data(), lout);
+    for (Index f = 0; f < filters; ++f) {
+      for (Index j = 0; j < lout; ++j) want_1d.at(f, j) += bias[f];
+    }
+    Tensor got_1d({filters, lout});
+    conv1d_forward_gemm(prec, x.data(), channels, length, kernel, stride,
+                        w1.data(), filters, bias.data(), got_1d.data());
+    EXPECT_EQ(std::memcmp(want_1d.data(), got_1d.data(),
+                          sizeof(float) * want_1d.numel()),
+              0)
+        << "1-D " << precision_name(prec);
   }
 }
 

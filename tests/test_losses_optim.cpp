@@ -1,13 +1,17 @@
 // Tests for losses (value + gradient against finite differences) and
 // optimizers (convergence on a convex quadratic, state handling, precision
-// rounding policies).
+// rounding policies, the chunked vector update's bit-identity).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "runtime/rng.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace candle {
 namespace {
@@ -246,6 +250,74 @@ TEST(Optimizer, LearningRateIsMutable) {
   EXPECT_FLOAT_EQ(sgd.learning_rate(), 0.1f);
   sgd.set_learning_rate(0.01f);
   EXPECT_FLOAT_EQ(sgd.learning_rate(), 0.01f);
+}
+
+// The Adam and RMSProp updates run vectorized, in fixed-size chunks over the
+// pool's lanes.  The update is elementwise, so five steps over one tensor
+// that spans several chunks (3 * 2^15 + 7 elements: the pool dispatches, and
+// the last chunk is short of a vector) equal, bit for bit, the same steps
+// applied to each element as its own one-element tensor, and the same steps
+// run nested inside a parallel_for body, where the update runs serially.
+TEST(Optimizer, ChunkedVectorUpdateIsBitIdenticalToElementwise) {
+  const Index n = 3 * (Index{1} << 15) + 7;
+  constexpr int kSteps = 5;
+  Pcg32 rng(0x0ad4);
+  const Tensor w0 = Tensor::randn({n}, rng);
+  std::vector<Tensor> g(kSteps);
+  for (Tensor& gs : g) gs = Tensor::randn({n}, rng);
+
+  for (const std::string name : {"adam", "rmsprop"}) {
+    const auto whole = [&]() {
+      Tensor w = w0;
+      Tensor grad({n});
+      auto opt = make_optimizer(name, 0.01f);
+      std::vector<Tensor*> ps{&w}, gs{&grad};
+      for (int s = 0; s < kSteps; ++s) {
+        grad.copy_from(g[static_cast<std::size_t>(s)]);
+        opt->step(ps, gs);
+      }
+      return w;
+    };
+    const Tensor chunked = whole();
+
+    Tensor nested;
+    parallel_for(0, 2, 1, [&](std::int64_t lo, std::int64_t /*hi*/) {
+      if (lo == 0) nested = whole();
+    });
+
+    std::vector<Tensor> w1(static_cast<std::size_t>(n));
+    std::vector<Tensor> g1(static_cast<std::size_t>(n));
+    std::vector<Tensor*> ps, gs;
+    for (Index i = 0; i < n; ++i) {
+      const auto u = static_cast<std::size_t>(i);
+      w1[u] = Tensor({1}, {w0[i]});
+      g1[u] = Tensor({1});
+      ps.push_back(&w1[u]);
+      gs.push_back(&g1[u]);
+    }
+    auto opt = make_optimizer(name, 0.01f);
+    for (int s = 0; s < kSteps; ++s) {
+      for (Index i = 0; i < n; ++i) {
+        g1[static_cast<std::size_t>(i)][0] = g[static_cast<std::size_t>(s)][i];
+      }
+      opt->step(ps, gs);
+    }
+    Tensor elementwise({n});
+    for (Index i = 0; i < n; ++i) {
+      elementwise[i] = w1[static_cast<std::size_t>(i)][0];
+    }
+
+    EXPECT_EQ(std::memcmp(chunked.data(), elementwise.data(),
+                          sizeof(float) * static_cast<std::size_t>(n)),
+              0)
+        << name;
+    ASSERT_EQ(nested.numel(), n) << name;
+    EXPECT_EQ(std::memcmp(chunked.data(), nested.data(),
+                          sizeof(float) * static_cast<std::size_t>(n)),
+              0)
+        << name;
+    EXPECT_GT(max_abs_diff(chunked, w0), 0.0f) << name;
+  }
 }
 
 }  // namespace

@@ -4,10 +4,12 @@
 // fit() trainer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "nn/metrics.hpp"
 #include "nn/model.hpp"
@@ -121,6 +123,66 @@ TEST(Model, GradRoundTripAndScale) {
   EXPECT_EQ(buf3, buf);
   std::vector<float> small(3);
   EXPECT_THROW(m.copy_grads_to(small), Error);
+}
+
+// Model::backward runs its first layer's backward_params, which fills the
+// parameter grads without dLoss/dInput (Dense skips the dx = dy W^T GEMM;
+// other layers run backward and drop dx).  Every parameter gradient equals,
+// bit for bit, the one from a layer-by-layer backward that still computes
+// layer 0's dx, with and without the grad-ready hook.
+TEST(Model, BackwardSkipsOnlyTheFirstLayersInputGradient) {
+  const auto dense_first = [] {
+    Model m;
+    m.add(make_dense(12)).add(make_relu()).add(make_dense(8));
+    m.add(make_tanh()).add(make_dense(2));
+    m.build({6}, 21);
+    return m;
+  };
+  const auto conv_first = [] {
+    Model m;
+    m.add(make_conv1d(4, 3)).add(make_flatten()).add(make_dense(2));
+    m.build({2, 10}, 23);
+    return m;
+  };
+  for (const bool conv : {false, true}) {
+    Model m = conv ? conv_first() : dense_first();
+    Model ref = conv ? conv_first() : dense_first();
+    Pcg32 rng(22);
+    Shape xs = m.input_shape();
+    xs.insert(xs.begin(), 5);
+    const Tensor x = Tensor::randn(xs, rng);
+    const Tensor y = Tensor::randn({5, 2}, rng);
+    MeanSquaredError mse;
+    const Tensor pred = m.forward(x, true);
+    ASSERT_EQ(max_abs_diff(ref.forward(x, true), pred), 0.0f);
+    const Tensor dy = mse.grad(pred, y);
+
+    Tensor d = dy;
+    for (Index i = ref.num_layers() - 1; i >= 0; --i) {
+      d = ref.layer(i).backward(d);
+    }
+    EXPECT_EQ(d.shape(), x.shape()) << "the reference computed layer 0's dx";
+    std::vector<float> want(static_cast<std::size_t>(ref.grad_size()));
+    ref.copy_grads_to(want);
+
+    std::vector<float> got(want.size());
+    m.backward(dy);
+    m.copy_grads_to(got);
+    EXPECT_EQ(std::memcmp(want.data(), got.data(), sizeof(float) * got.size()),
+              0)
+        << (conv ? "conv" : "dense") << " first";
+
+    std::vector<Index> ready;
+    std::fill(got.begin(), got.end(), 0.0f);
+    m.set_grads_from(got);
+    m.backward(dy, [&](Index layer) { ready.push_back(layer); });
+    m.copy_grads_to(got);
+    EXPECT_EQ(std::memcmp(want.data(), got.data(), sizeof(float) * got.size()),
+              0)
+        << (conv ? "conv" : "dense") << " first, hooked";
+    ASSERT_EQ(static_cast<Index>(ready.size()), m.num_layers());
+    EXPECT_EQ(ready.back(), 0);
+  }
 }
 
 TEST(Model, TrainsXor) {

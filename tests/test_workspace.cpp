@@ -135,6 +135,32 @@ TEST(WorkspaceSteadyState, RepeatedGemmDoesNotGrowArenas) {
   EXPECT_EQ(after.grow_count, grows_before);
 }
 
+TEST(WorkspaceSteadyState, ColumnSplitGemmDoesNotGrowArenas) {
+  // A training shard's GEMMs (m = 64: x W, and dy W^T for dx) split B's
+  // columns over the lanes.  Each lane packs its slice of B into the
+  // caller's panel buffer and its own copy of the A block into its arena,
+  // inside the reserve every pool worker holds; the caller's panel and A
+  // block fit its first block.
+  Pcg32 rng(101);
+  const Index m = 64, n = 500, k = 300;
+  Tensor x = Tensor::randn({m, k}, rng);
+  Tensor w = Tensor::randn({k, n}, rng);
+  Tensor dy = Tensor::randn({m, n}, rng);
+  Tensor y({m, n});
+  Tensor dx({m, k});
+  const auto step = [&] {
+    matmul_into(y, x, Op::None, w, Op::None);
+    matmul_into(dx, dy, Op::None, w, Op::Transpose);
+  };
+  for (int i = 0; i < 3; ++i) step();
+  const std::uint64_t grows_before = workspace_stats().grow_count;
+  const std::uint64_t allocs_before = workspace_stats().alloc_count;
+  for (int i = 0; i < 10; ++i) step();
+  const WorkspaceStats after = workspace_stats();
+  EXPECT_GT(after.alloc_count, allocs_before);
+  EXPECT_EQ(after.grow_count, grows_before);
+}
+
 TEST(WorkspaceSteadyState, EmulatedPrecisionsAreAllocationFreeToo) {
   Pcg32 rng(100);
   const Index m = 96, n = 80, k = 64;
